@@ -10,6 +10,7 @@ from .diffring import (
     JetVar,
     NonlocalAtom,
     antiderivative,
+    clear_caches,
     d_x,
     integrate,
     prolong_t,
@@ -61,6 +62,7 @@ __all__ = [
     "JetVar",
     "NonlocalAtom",
     "antiderivative",
+    "clear_caches",
     "d_x",
     "integrate",
     "prolong_t",

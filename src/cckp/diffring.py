@@ -559,39 +559,37 @@ def _jet_lower_candidates(key):
     return out
 
 
-def _proper_divisors(key):
-    """Nonempty scale-free sub-monomials of m, excluding m itself."""
-    jets, atoms, scale = key
-    factors = [(("j", f), p) for f, p in jets] + [
-        (("a", f), p) for f, p in atoms
-    ]
-    choices = [[]]
-    for (kind, f), p in factors:
-        choices = [
-            base + [((kind, f), e)] for base in choices for e in range(p + 1)
-        ]
-    out = []
-    for combo in choices:
-        jsub = tuple((f, e) for (kind, f), e in combo if e and kind == "j")
-        asub = tuple((f, e) for (kind, f), e in combo if e and kind == "a")
-        if not (jsub or asub):
-            continue
-        if jsub == jets and asub == atoms:
-            continue
-        out.append((jsub, asub, 0))
-    return out
+def _wrap_divisors(key):
+    """Divisors nu of m keeping all of m's jets, last atom factor fastest.
+
+    Wraps I(nu) * (m/nu) are useful only when the quotient is a pure atom
+    monomial: otherwise the image's lead outranks m (one more atom on a
+    jet-derivative tail) and no combination can lower it.
+    """
+    jets, atoms, _ = key
+    subs = [()]
+    for f, p in atoms:
+        subs = [b + ((f, e),) if e else b for b in subs for e in range(p + 1)]
+    return [(jets, a, 0) for a in subs if a != atoms and (jets or a)]
+
+
+@lru_cache(maxsize=None)
+def _is_reduced_local(key) -> bool:
+    """Whether an atom-free monomial survives integration untouched."""
+    jets, _, scale = key
+    weight = _jet_weight(jets)
+    if weight < 1:
+        return True
+    reducer = _local_reducer(_jet_symdeg(jets), weight, scale)
+    pre, _res = reducer.reduce({key: Fraction(1)})
+    return not pre
 
 
 def _is_reduced_mono(key) -> bool:
     """Whether the monomial survives integration untouched."""
-    jets, atoms, scale = key
-    if not atoms:
-        weight = _jet_weight(jets)
-        if weight < 1:
-            return True
-        reducer = _local_reducer(_jet_symdeg(jets), weight, scale)
-        pre, _res = reducer.reduce({key: Fraction(1)})
-        return not pre
+    if not key[1]:
+        return _is_reduced_local(key)
+    # Not memoized: _NF_ATOM_CACHE may hold an in-progress placeholder.
     f, _rho = _nf_atom(key)
     return f.is_zero
 
@@ -599,13 +597,8 @@ def _is_reduced_mono(key) -> bool:
 def _candidates_for(key):
     out = set(_jet_lower_candidates(key))
     if key[1]:
-        jets, atoms, scale = key
-        # Wraps I(nu) * (m/nu) are useful only when the quotient is a pure
-        # atom monomial: otherwise the image's lead outranks m (one more
-        # atom on a jet-derivative tail) and no combination can lower it.
-        for nu in _proper_divisors(key):
-            if nu[0] != jets:
-                continue
+        _, atoms, scale = key
+        for nu in _wrap_divisors(key):
             akey = ((nu, Fraction(1)),)
             if _atom_depth(akey) > _WRAP_DEPTH_CAP:
                 continue
@@ -668,6 +661,19 @@ def _nf_atom(key):
         DiffPoly.zero(),
         DiffPoly(((key, Fraction(1)),)),
     )
+    try:
+        result = _split_atom_mono(key)
+    except BaseException:
+        # A failed build must not leave the placeholder behind: later calls
+        # would take it for a final answer.
+        del _NF_ATOM_CACHE[key]
+        raise
+    _NF_ATOM_CACHE[key] = result
+    return result
+
+
+def _split_atom_mono(key):
+    """Uncached body of `_nf_atom`."""
     pre, res = _closure_reducer(key).reduce({key: Fraction(1)})
     if key in res:
         result = (DiffPoly.zero(), DiffPoly(((key, Fraction(1)),)))
@@ -692,7 +698,6 @@ def _nf_atom(key):
             DiffPoly._from_dict(f_total),
             DiffPoly._from_dict(rho_total),
         )
-    _NF_ATOM_CACHE[key] = result
     return result
 
 
@@ -706,6 +711,25 @@ def _nf_any(key):
     reducer = _local_reducer(_jet_symdeg(jets), weight, scale)
     pre, res = reducer.reduce({key: Fraction(1)})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the ring and the integration engine.
+
+    The tables are process-global and unbounded; later calls refill what
+    they need.  Do not call it while another thread is computing.
+    """
+    _NF_ATOM_CACHE.clear()
+    _REDUCER_CACHE.clear()
+    for cached in (
+        _atom_depth,
+        _order_multisets,
+        _component_jets,
+        _local_reducer,
+        _is_reduced_local,
+        _scale_atom_q_to_u,
+    ):
+        cached.cache_clear()
 
 
 def integrate(p: DiffPoly):

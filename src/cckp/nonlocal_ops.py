@@ -86,7 +86,6 @@ class IntDiffOperator:
 
     def __init__(self, terms: Iterable = ()):
         merged = {}
-        order = {}
         for weight, term in terms:
             weight = Fraction(weight)
             if not isinstance(term, IntDiffTerm):
@@ -96,7 +95,6 @@ class IntDiffOperator:
                 merged[key] = (merged[key][0] + weight, term)
             else:
                 merged[key] = (weight, term)
-                order[key] = len(order)
         self.terms = tuple(
             (w, t)
             for key, (w, t) in sorted(merged.items(), key=lambda kv: kv[0])

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from cckp import diffring
 from cckp.diffring import (
     DiffPoly,
     NonlocalAtom,
     antiderivative,
+    clear_caches,
     d_x,
     integrate,
     prolong_t,
@@ -16,7 +18,7 @@ from cckp.diffring import (
     substitute_r_to_q,
     swap_q_r,
 )
-from cckp.errors import NestingTooDeep, OddScaleResidue
+from cckp.errors import EngineError, NestingTooDeep, OddScaleResidue
 
 from conftest import P, SEED, random_local_poly, random_poly
 
@@ -293,3 +295,93 @@ class TestScale:
     def test_r_rejected(self):
         with pytest.raises(OddScaleResidue):
             scale_substitute(Q * R * R, Fraction(1, 12))
+
+
+def _reference_proper_divisors(key):
+    """Every nonempty scale-free sub-monomial of m except m itself."""
+    jets, atoms, scale = key
+    factors = [(("j", f), p) for f, p in jets] + [
+        (("a", f), p) for f, p in atoms
+    ]
+    choices = [[]]
+    for (kind, f), p in factors:
+        choices = [
+            base + [((kind, f), e)] for base in choices for e in range(p + 1)
+        ]
+    out = []
+    for combo in choices:
+        jsub = tuple((f, e) for (kind, f), e in combo if e and kind == "j")
+        asub = tuple((f, e) for (kind, f), e in combo if e and kind == "a")
+        if not (jsub or asub):
+            continue
+        if jsub == jets and asub == atoms:
+            continue
+        out.append((jsub, asub, 0))
+    return out
+
+
+def _single_key(p):
+    ((key, _),) = p.terms
+    return key
+
+
+class TestCandidates:
+    def test_wrap_divisors_match_reference(self):
+        a = antiderivative(Q * R)
+        b = antiderivative(Q * Q)
+        keys = [
+            _single_key(QX * R * a * b),  # two distinct atoms
+            _single_key(Q * RX * a ** 2),  # an atom with power 2
+            _single_key(Q ** 2 * RX * a ** 2 * b),
+            _single_key(a * b),  # empty jets
+            _single_key(a ** 2),
+            _single_key(a),
+            _single_key(QX * R * a * b * DiffPoly.lam(2)),  # nonzero scale
+        ]
+        for key in keys:
+            reference = _reference_proper_divisors(key)
+            expected = [nu for nu in reference if nu[0] == key[0]]
+            assert diffring._wrap_divisors(key) == expected
+
+    def test_cached_local_irreducibility_matches_reducer(self):
+        symdegs = ((("q", 2),), (("q", 1), ("r", 1)), (("q", 2), ("r", 1)))
+        seen = set()
+        for symdeg in symdegs:
+            for weight in range(5):
+                for scale in (0, 2):
+                    reducer = diffring._local_reducer(symdeg, weight, scale)
+                    for jets in diffring._component_jets(symdeg, weight):
+                        key = (jets, (), scale)
+                        pre, _ = reducer.reduce({key: Fraction(1)})
+                        expected = weight < 1 or not pre
+                        assert diffring._is_reduced_local(key) == expected
+                        seen.add(expected)
+        assert seen == {True, False}
+
+
+class TestMemoTables:
+    def test_failed_closure_leaves_no_placeholder(self, monkeypatch):
+        a = antiderivative(Q * R)
+        p = QX * R * a
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "_CLOSURE_CAP", 1)
+            with pytest.raises(EngineError):
+                integrate(p)
+        local, rho = integrate(p)
+        assert local == Q * R * a
+        assert d_x(local) + rho == p
+
+    def test_clear_caches_empties_every_table(self):
+        p = Q * R * antiderivative(Q * R) + QX * R * antiderivative(Q * Q)
+        before = integrate(p)
+        scale_substitute(Q * antiderivative(Q * Q), Fraction(1, 12))
+        clear_caches()
+        assert not diffring._NF_ATOM_CACHE
+        assert not diffring._REDUCER_CACHE
+        cached = [
+            v for v in vars(diffring).values() if hasattr(v, "cache_info")
+        ]
+        assert diffring._is_reduced_local in cached
+        assert all(f.cache_info().currsize == 0 for f in cached)
+        assert integrate(p) == before
