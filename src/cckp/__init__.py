@@ -10,7 +10,6 @@ from .diffring import (
     JetVar,
     NonlocalAtom,
     antiderivative,
-    clear_caches,
     d_x,
     integrate,
     prolong_t,
@@ -35,6 +34,7 @@ from .hierarchy import (
     check_lax,
     check_residue_coefficients,
     check_skew,
+    clear_caches,
     flow,
     lax_operator,
     lax_power,
@@ -62,7 +62,6 @@ __all__ = [
     "JetVar",
     "NonlocalAtom",
     "antiderivative",
-    "clear_caches",
     "d_x",
     "integrate",
     "prolong_t",
@@ -87,6 +86,7 @@ __all__ = [
     "check_lax",
     "check_residue_coefficients",
     "check_skew",
+    "clear_caches",
     "flow",
     "lax_operator",
     "lax_power",

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import diffring
 from .diffring import DiffPoly, d_x, prolong_t
 from .errors import DepthExhausted
 from .psido import (
@@ -18,8 +19,9 @@ from .psido import (
     apply,
     commutator,
     compose,
+    gbinom,
     minus_part,
-    plus_part,
+    residuals,
     residue,
 )
 
@@ -43,30 +45,66 @@ class FlowPair:
 
 
 @lru_cache(maxsize=None)
+def _lax_tail(i: int) -> DiffPoly:
+    """Coefficient of d^-i in L: (-1)^(i-1) (q r^(i-1) + r q^(i-1))."""
+    sign = -1 if i % 2 == 0 else 1
+    return (_Q * d_x(_R, i - 1) + _R * d_x(_Q, i - 1)) * sign
+
+
+@lru_cache(maxsize=None)
 def lax_operator(depth: int) -> PsiDO:
     """d + q d^-1 r + r d^-1 q, with the integral tail expanded to `depth`."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    coeffs = {1: DiffPoly.one()}
-    for f, g in ((_Q, _R), (_R, _Q)):
-        gk = g
-        for j in range(depth):
-            sign = -1 if j % 2 else 1
-            order = -1 - j
-            coeffs[order] = coeffs.get(order, DiffPoly.zero()) + f * gk * sign
-            gk = d_x(gk)
+    coeffs = {-i: _lax_tail(i) for i in range(1, depth + 1)}
+    coeffs[1] = DiffPoly.one()
     return PsiDO(coeffs, depth)
 
 
 @lru_cache(maxsize=None)
+def _power_coeff(k: int, j: int) -> DiffPoly:
+    """Coefficient of d^j in L^k, exact: L^k = L o L^(k-1), L^0 = 1.
+
+    By the Leibniz rule, d o c d^l = c d^(l+1) + c' d^l and
+    d^-i o c d^l = sum_m C(-i, m) c^(m) d^(l-i-m); L^(k-1) has top order k-1.
+    """
+    if k == 0:
+        return DiffPoly.one() if j == 0 else DiffPoly.zero()
+    out = _power_coeff(k - 1, j - 1) + _power_deriv(k - 1, j, 1)
+    for i in range(1, k - j):
+        for m in range(k - j - i):
+            dc = _power_deriv(k - 1, j + i + m, m)
+            if not dc.is_zero:
+                out = out + _lax_tail(i) * dc * gbinom(-i, m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _power_deriv(k: int, j: int, m: int) -> DiffPoly:
+    """d_x^m of the coefficient of d^j in L^k."""
+    if m == 0:
+        return _power_coeff(k, j)
+    return d_x(_power_deriv(k, j, m - 1))
+
+
 def lax_power(n: int, depth: int | None = None) -> PsiDO:
-    """L^n by iterated composition; default depth budget is n + 3."""
+    """L^n with the trusted depth of n-fold composition of L at `depth`.
+
+    The default depth budget is n + 3.  Each composition with L loses one
+    trusted order, so the result is exact down to order -(depth - n + 1).
+    """
+    if n < 1:
+        raise ValueError("power must be >= 1")
     if depth is None:
         depth = n + 3
-    out = lax_operator(depth)
-    for _ in range(n - 1):
-        out = compose(lax_operator(depth), out)
-    return out
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    eff = depth - n + 1
+    if eff < 0:
+        raise DepthExhausted(
+            f"L^{n} needs depth >= {n - 1} to be trusted at any order"
+        )
+    return PsiDO({j: _power_coeff(n, j) for j in range(-eff, n + 1)}, eff)
 
 
 def bn(n: int, depth: int | None = None) -> PsiDO:
@@ -77,7 +115,7 @@ def bn(n: int, depth: int | None = None) -> PsiDO:
         raise DepthExhausted(
             f"computing the order-{n} generator needs depth >= {n}"
         )
-    return plus_part(lax_power(n, depth))
+    return PsiDO({j: _power_coeff(n, j) for j in range(n + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +123,17 @@ def flow(n: int, depth: int | None = None) -> FlowPair:
     """The t_n flow (B_n(q), B_n(r))."""
     generator = bn(n, depth)
     return FlowPair(n, apply(generator, _Q), apply(generator, _R))
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the hierarchy, the ring and the integrator.
+
+    The tables are process-global and unbounded; later calls refill what
+    they need.  Do not call it while another thread is computing.
+    """
+    for cached in (lax_operator, _lax_tail, _power_coeff, _power_deriv, flow):
+        cached.cache_clear()
+    diffring.clear_caches()
 
 
 def prolong_flow(p: DiffPoly, n: int, depth: int | None = None) -> DiffPoly:
@@ -129,15 +178,9 @@ def check_lax(n: int, depth: int) -> CheckReport:
     lax_depth = n + depth
     lhs = lax_time_derivative(n, lax_depth)
     rhs = commutator(bn(n), lax_operator(lax_depth))
-    residuals = []
-    top = max(max(lhs.coeffs, default=0), max(rhs.coeffs, default=0))
-    for k in range(top, -depth - 1, -1):
-        diff = lhs.coeffs.get(k, DiffPoly.zero()) - rhs.coeffs.get(
-            k, DiffPoly.zero()
-        )
-        if not diff.is_zero:
-            residuals.append((f"order {k}", diff))
-    return CheckReport(f"lax-equation t_{n}", not residuals, tuple(residuals))
+    diffs = residuals(lhs, rhs, depth)
+    lines = tuple((f"order {k}", diff) for k, diff in diffs.items())
+    return CheckReport(f"lax-equation t_{n}", not lines, lines)
 
 
 def right_coefficients(a: PsiDO, count: int) -> list:

@@ -2,10 +2,21 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from cckp.diffring import DiffPoly, d_x, prolong_t, substitute_r_to_q, swap_q_r
+import cckp
+from cckp import diffring, hierarchy
+from cckp.diffring import (
+    DiffPoly,
+    d_x,
+    integrate,
+    prolong_t,
+    substitute_r_to_q,
+    swap_q_r,
+)
+from cckp.errors import DepthExhausted
 from cckp.hierarchy import (
     FlowPair,
     bn,
@@ -19,7 +30,7 @@ from cckp.hierarchy import (
     right_coefficients,
     residue_identity,
 )
-from cckp.psido import PsiDO, adjoint, compose, residue
+from cckp.psido import PsiDO, adjoint, compose, plus_part, residue
 
 from conftest import P, SEED
 
@@ -78,6 +89,49 @@ def naive_compose_psido(a: PsiDO, b: PsiDO, depth: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
+def reference_lax_operator(depth: int) -> PsiDO:
+    """L with its tail built by differentiating r and q term by term."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    coeffs = {1: DiffPoly.one()}
+    for f, g in ((Q, R), (R, Q)):
+        gk = g
+        for j in range(depth):
+            sign = -1 if j % 2 else 1
+            order = -1 - j
+            coeffs[order] = coeffs.get(order, DiffPoly.zero()) + f * gk * sign
+            gk = d_x(gk)
+    return PsiDO(coeffs, depth)
+
+
+@lru_cache(maxsize=None)
+def reference_lax_power(n: int, depth: int | None = None) -> PsiDO:
+    """L^n by composing whole operators, each L taken at the same depth."""
+    if depth is None:
+        depth = n + 3
+    if n == 1:
+        return reference_lax_operator(depth)
+    return compose(
+        reference_lax_operator(depth), reference_lax_power(n - 1, depth)
+    )
+
+
+def reference_bn(n: int, depth: int | None = None) -> PsiDO:
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("the hierarchy has odd flows only")
+    if depth is not None and depth < n:
+        raise DepthExhausted("generator depth")
+    return plus_part(reference_lax_power(n, depth))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, DepthExhausted) as exc:
+        return type(exc)
+
+
 class TestLaxOperator:
     def test_leading_coefficients(self):
         lax = lax_operator(4)
@@ -119,6 +173,11 @@ class TestGenerators:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             bn(2)
+
+    def test_power_below_one_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                lax_power(n)
 
     def test_square_has_known_differential_part(self):
         two = lax_power(2)
@@ -163,6 +222,16 @@ class TestGenerators:
             assert engine.coeffs.get(k, DiffPoly.zero()) == oracle_cube.get(
                 k, DiffPoly.zero()
             )
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_memoized_power_matches_iterated_compose(self, n):
+        # Same coefficients, trusted depth and errors as composing whole
+        # operators, on every depth from too shallow to past the default.
+        for depth in (*range(12), None):
+            assert outcome(lax_power, n, depth) == outcome(
+                reference_lax_power, n, depth
+            )
+            assert outcome(bn, n, depth) == outcome(reference_bn, n, depth)
 
     def test_cube_residue_identity(self):
         cube = lax_power(3)
@@ -210,6 +279,48 @@ class TestFlows:
         mixed_35r = prolong_t(f5.r_t, f3.q_t, f3.r_t)
         mixed_53r = prolong_t(f3.r_t, f5.q_t, f5.r_t)
         assert mixed_35r == mixed_53r
+
+    @pytest.mark.parametrize(
+        "m, n", [(m, n) for n in (3, 5, 7) for m in range(1, n, 2)]
+    )
+    def test_flows_commute_pairwise(self, m, n):
+        # Not assumed by the construction: each flow is (L^n)_+ on its own.
+        fm, fn = flow(m), flow(n)
+        assert prolong_t(fn.q_t, fm.q_t, fm.r_t) == prolong_t(
+            fm.q_t, fn.q_t, fn.r_t
+        )
+        assert prolong_t(fn.r_t, fm.q_t, fm.r_t) == prolong_t(
+            fm.r_t, fn.q_t, fn.r_t
+        )
+
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    @pytest.mark.parametrize("m", (1, 3, 5))
+    def test_residues_are_conserved_densities(self, n, m):
+        fm = flow(m)
+        density_t = prolong_t(residue(lax_power(n)), fm.q_t, fm.r_t)
+        _, remainder = integrate(density_t)
+        assert remainder.is_zero
+
+    def test_clear_caches_covers_the_hierarchy(self):
+        before = flow(5)
+        cckp.clear_caches()
+        cached = [
+            v
+            for v in vars(hierarchy).values()
+            if hasattr(v, "cache_info") and v.__module__ == hierarchy.__name__
+        ]
+        assert {f.__name__ for f in cached} >= {
+            "lax_operator",
+            "_lax_tail",
+            "_power_coeff",
+            "_power_deriv",
+            "flow",
+        }
+        assert all(f.cache_info().currsize == 0 for f in cached)
+        assert not diffring._NF_ATOM_CACHE
+        after = flow(5)
+        assert after == before
+        assert after is not before
 
     def test_flowpair_validation(self):
         with pytest.raises(ValueError):
