@@ -34,7 +34,6 @@ from .hierarchy import (
     check_lax,
     check_residue_coefficients,
     check_skew,
-    clear_caches,
     flow,
     lax_operator,
     lax_power,
@@ -51,6 +50,7 @@ from .psido import PsiDO, adjoint, compose, minus_part, plus_part, residue
 from .recursion import (
     RecursionMatrix,
     build_matrix,
+    clear_caches,
     reduce_matrix,
     scaled_mkdv_operator,
     step,

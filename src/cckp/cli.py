@@ -19,7 +19,7 @@ from . import hierarchy, recursion
 from .diffring import DiffPoly, scale_substitute, substitute_r_to_q
 from .errors import DepthExhausted, EngineError
 from .grammar import poly_json, poly_latex, poly_text
-from .hierarchy import CheckReport
+from .hierarchy import CheckReport, by_order
 from .nonlocal_ops import (
     apply as nl_apply,
     expand_to_psido,
@@ -30,8 +30,6 @@ from .nonlocal_ops import (
 from .psido import psido_json, psido_latex, psido_text, residuals
 
 SCHEMA_VERSION = 1
-
-SUITES = ("all", "skew", "lax", "recursion", "identities", "residues", "reduction")
 
 _ENV_PREFIX = "CCKP_"
 
@@ -157,16 +155,14 @@ def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
 
 def _report(name: str, lhs: DiffPoly, rhs: DiffPoly) -> CheckReport:
     diff = lhs - rhs
-    res = () if diff.is_zero else ((name, diff),)
-    return CheckReport(name, diff.is_zero, res)
+    return CheckReport.of(name, () if diff.is_zero else ((name, diff),))
 
 
-def _psido_report(name, a, b, depth) -> CheckReport:
-    res = residuals(a, b, depth)
-    collected = tuple(
-        (f"order {k}", diff) for k, diff in sorted(res.items(), reverse=True)
+def _literal_report(name: str, label: str, got, literal) -> CheckReport:
+    """Structural equality with a literal form; a mismatch shows as `label: 0`."""
+    return CheckReport.of(
+        name, () if got == literal else ((label, DiffPoly.zero()),)
     )
-    return CheckReport(name, not collected, collected)
 
 
 def _suite_skew(config: RunConfig):
@@ -207,20 +203,15 @@ def _suite_identities(config: RunConfig):
     )
     out = []
     for n in (1, 3, 5):
-        collected = []
-        for f in probes:
-            for g in probes:
-                report = recursion.verify_aratyn_identities(n, f, g, depth=4)
-                if not report.passed:
-                    collected.extend(
-                        (f"f={f!r}, g={g!r}: {label}", diff)
-                        for label, diff in report.residuals
-                    )
-        out.append(
-            CheckReport(
-                f"recursion-identities t_{n}", not collected, tuple(collected)
-            )
-        )
+        collected = [
+            (f"f={f!r}, g={g!r}: {label}", diff)
+            for f in probes
+            for g in probes
+            for label, diff in recursion.verify_aratyn_identities(
+                n, f, g, depth=4
+            ).residuals
+        ]
+        out.append(CheckReport.of(f"recursion-identities t_{n}", collected))
     return out
 
 
@@ -233,20 +224,18 @@ def _suite_reduction(config: RunConfig):
     reduced = recursion.reduce_matrix()
     literal = recursion.mkdv_recursion_literal()
     out.append(
-        CheckReport(
-            "reduced operator literal form",
-            reduced == literal,
-            ()
-            if reduced == literal
-            else (("reduced form", DiffPoly.zero()),),
+        _literal_report(
+            "reduced operator literal form", "reduced form", reduced, literal
         )
     )
     out.append(
-        _psido_report(
+        CheckReport.of(
             "reduced operator series (depth 6)",
-            expand_to_psido(reduced, 6),
-            expand_to_psido(literal, 6),
-            6,
+            by_order(
+                residuals(
+                    expand_to_psido(reduced, 6), expand_to_psido(literal, 6), 6
+                )
+            ),
         )
     )
     qx = DiffPoly.jet("q", 1)
@@ -269,12 +258,11 @@ def _suite_reduction(config: RunConfig):
     scaled = recursion.scaled_mkdv_operator()
     scaled_literal = recursion.scaled_mkdv_literal()
     out.append(
-        CheckReport(
+        _literal_report(
             "scaled operator literal form",
-            scaled == scaled_literal,
-            ()
-            if scaled == scaled_literal
-            else (("scaled form", DiffPoly.zero()),),
+            "scaled form",
+            scaled,
+            scaled_literal,
         )
     )
     lam_sq = Fraction(1, 12)
@@ -305,13 +293,11 @@ _SUITE_RUNNERS = {
     "reduction": _suite_reduction,
 }
 
+SUITES = ("all", *_SUITE_RUNNERS)
+
 
 def run_suite(suite: str, config: RunConfig):
-    names = (
-        ("skew", "lax", "recursion", "identities", "residues", "reduction")
-        if suite == "all"
-        else (suite,)
-    )
+    names = tuple(_SUITE_RUNNERS) if suite == "all" else (suite,)
     checks = []
     for name in names:
         checks.extend(_SUITE_RUNNERS[name](config))

@@ -55,6 +55,30 @@ def _merge_factors(a, b):
     return tuple(sorted((k, p) for k, p in d.items() if p))
 
 
+def _addto(acc: dict, items, c=None) -> None:
+    """Add c*items (items itself when c is None) into the sparse dict acc.
+
+    Keys whose coefficient cancels are dropped.
+    """
+    get = acc.get
+    for k, v in items:
+        if c is not None:
+            v = c * v
+        nv = get(k, 0) + v
+        if nv:
+            acc[k] = nv
+        elif k in acc:
+            del acc[k]
+
+
+def _drop_one(factors, i):
+    """The sorted factor tuple with one power of factor i removed."""
+    f, p = factors[i]
+    if p == 1:
+        return factors[:i] + factors[i + 1:]
+    return factors[:i] + ((f, p - 1),) + factors[i + 1:]
+
+
 def _key_mul(k1, k2):
     return (
         _merge_factors(k1[0], k2[0]),
@@ -191,12 +215,7 @@ class DiffPoly:
         if other is NotImplemented:
             return NotImplemented
         d = dict(self.terms)
-        for k, c in other.terms:
-            nc = d.get(k, 0) + c
-            if nc:
-                d[k] = nc
-            elif k in d:
-                del d[k]
+        _addto(d, other.terms)
         return DiffPoly._from_dict(d)
 
     __radd__ = __add__
@@ -222,14 +241,14 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         d = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                k = _key_mul(k1, k2)
-                nc = d.get(k, 0) + c1 * c2
-                if nc:
-                    d[k] = nc
-                elif k in d:
-                    del d[k]
+        _addto(
+            d,
+            [
+                (_key_mul(k1, k2), c1 * c2)
+                for k1, c1 in self.terms
+                for k2, c2 in other.terms
+            ],
+        )
         return DiffPoly._from_dict(d)
 
     __rmul__ = __mul__
@@ -361,28 +380,12 @@ def _dx_key(key) -> dict:
     jets, atoms, scale = key
     out = {}
     for i, ((sym, order), power) in enumerate(jets):
-        rest = list(jets)
-        if power == 1:
-            del rest[i]
-        else:
-            rest[i] = ((sym, order), power - 1)
-        bumped = _merge_factors(tuple(rest), (((sym, order + 1), 1),))
+        bumped = _merge_factors(_drop_one(jets, i), (((sym, order + 1), 1),))
         nk = (bumped, atoms, scale)
         out[nk] = out.get(nk, 0) + power
     for i, (akey, power) in enumerate(atoms):
-        rest = list(atoms)
-        if power == 1:
-            del rest[i]
-        else:
-            rest[i] = (akey, power - 1)
-        base = (jets, tuple(rest), scale)
-        for ik, ic in akey:
-            nk = _key_mul(base, ik)
-            nc = out.get(nk, 0) + power * ic
-            if nc:
-                out[nk] = nc
-            elif nk in out:
-                del out[nk]
+        base = (jets, _drop_one(atoms, i), scale)
+        _addto(out, [(_key_mul(base, ik), ic) for ik, ic in akey], power)
     return out
 
 
@@ -391,12 +394,7 @@ def d_x(p: DiffPoly, n: int = 1) -> DiffPoly:
     for _ in range(n):
         d = {}
         for key, c in p.terms:
-            for nk, nc in _dx_key(key).items():
-                v = d.get(nk, 0) + c * nc
-                if v:
-                    d[nk] = v
-                elif nk in d:
-                    del d[nk]
+            _addto(d, _dx_key(key).items(), c)
         p = DiffPoly._from_dict(d)
     return p
 
@@ -467,12 +465,7 @@ class _Reducer:
             if not img:
                 continue
             pre = {ck: Fraction(1)}
-            for k, c in used.items():
-                nc = pre.get(k, 0) - c
-                if nc:
-                    pre[k] = nc
-                elif k in pre:
-                    del pre[k]
+            _addto(pre, used.items(), -1)
             pivot = max(img, key=_mon_priority)
             inv = 1 / img[pivot]
             img = {k: c * inv for k, c in img.items()}
@@ -504,18 +497,8 @@ def _reduce_against(rows, work: dict, pre_total: dict) -> None:
         c = work.get(pivot)
         if not c:
             continue
-        for k, v in img.items():
-            nv = work.get(k, 0) - c * v
-            if nv:
-                work[k] = nv
-            elif k in work:
-                del work[k]
-        for k, v in pre.items():
-            nv = pre_total.get(k, 0) + c * v
-            if nv:
-                pre_total[k] = nv
-            elif k in pre_total:
-                del pre_total[k]
+        _addto(work, img.items(), -c)
+        _addto(pre_total, pre.items(), c)
 
 
 @lru_cache(maxsize=None)
@@ -549,12 +532,7 @@ def _jet_lower_candidates(key):
     for i, ((sym, order), power) in enumerate(jets):
         if order < 1:
             continue
-        rest = list(jets)
-        if power == 1:
-            del rest[i]
-        else:
-            rest[i] = ((sym, order), power - 1)
-        lowered = _merge_factors(tuple(rest), (((sym, order - 1), 1),))
+        lowered = _merge_factors(_drop_one(jets, i), (((sym, order - 1), 1),))
         out.append((lowered, atoms, scale))
     return out
 
@@ -676,41 +654,14 @@ def _split_atom_mono(key):
     """Uncached body of `_nf_atom`."""
     pre, res = _closure_reducer(key).reduce({key: Fraction(1)})
     if key in res:
-        result = (DiffPoly.zero(), DiffPoly(((key, Fraction(1)),)))
-    else:
-        f_total = dict(pre)
-        rho_total = {}
-        for mono, coeff in res.items():
-            f_part, rho_part = _nf_any(mono)
-            for k, c in f_part.terms:
-                nc = f_total.get(k, 0) + coeff * c
-                if nc:
-                    f_total[k] = nc
-                elif k in f_total:
-                    del f_total[k]
-            for k, c in rho_part.terms:
-                nc = rho_total.get(k, 0) + coeff * c
-                if nc:
-                    rho_total[k] = nc
-                elif k in rho_total:
-                    del rho_total[k]
-        result = (
-            DiffPoly._from_dict(f_total),
-            DiffPoly._from_dict(rho_total),
-        )
-    return result
-
-
-def _nf_any(key):
-    jets, atoms, scale = key
-    if atoms:
-        return _nf_atom(key)
-    weight = _jet_weight(jets)
-    if weight < 1:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
-    reducer = _local_reducer(_jet_symdeg(jets), weight, scale)
-    pre, res = reducer.reduce({key: Fraction(1)})
-    return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
+    # The residual can hold monomials that their own closures reduce.
+    # Splitting it again is exact because the split is linear; `_split`
+    # resolves atom monomials in the order `res` gives, so nested `_nf_atom`
+    # calls run in a fixed order while this key's placeholder is cached.
+    f_total, rho_total = _split(res.items())
+    _addto(f_total, pre.items())
+    return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
 
 
 def clear_caches() -> None:
@@ -732,6 +683,30 @@ def clear_caches() -> None:
         cached.cache_clear()
 
 
+def _split(items):
+    """Body of `integrate` on (key, coeff) pairs, as two sparse dicts."""
+    f_total = {}
+    rho_total = {}
+    local_groups = {}
+    for key, coeff in items:
+        if key[1]:
+            f_part, rho_part = _nf_atom(key)
+            _addto(f_total, f_part.terms, coeff)
+            _addto(rho_total, rho_part.terms, coeff)
+        else:
+            jets, _, scale = key
+            group = (_jet_symdeg(jets), _jet_weight(jets), scale)
+            local_groups.setdefault(group, {})[key] = coeff
+    for (symdeg, weight, scale), vec in sorted(local_groups.items()):
+        if weight < 1:
+            _addto(rho_total, vec.items())
+            continue
+        pre, res = _local_reducer(symdeg, weight, scale).reduce(vec)
+        _addto(f_total, pre.items())
+        _addto(rho_total, res.items())
+    return f_total, rho_total
+
+
 def integrate(p: DiffPoly):
     """Split p exactly as d_x(local) + remainder with a canonical remainder.
 
@@ -741,38 +716,7 @@ def integrate(p: DiffPoly):
     to zero.  The split is linear, and equal monomials resolve identically in
     every context.
     """
-    f_total = {}
-    rho_total = {}
-    local_groups = {}
-    for key, coeff in p.terms:
-        if key[1]:
-            f_part, rho_part = _nf_atom(key)
-            for k, c in f_part.terms:
-                nc = f_total.get(k, 0) + coeff * c
-                if nc:
-                    f_total[k] = nc
-                elif k in f_total:
-                    del f_total[k]
-            for k, c in rho_part.terms:
-                nc = rho_total.get(k, 0) + coeff * c
-                if nc:
-                    rho_total[k] = nc
-                elif k in rho_total:
-                    del rho_total[k]
-        else:
-            jets, _, scale = key
-            group = (_jet_symdeg(jets), _jet_weight(jets), scale)
-            local_groups.setdefault(group, {})[key] = coeff
-    for (symdeg, weight, scale), vec in sorted(local_groups.items()):
-        if weight < 1:
-            for k, c in vec.items():
-                rho_total[k] = rho_total.get(k, 0) + c
-            continue
-        pre, res = _local_reducer(symdeg, weight, scale).reduce(vec)
-        for k, c in pre.items():
-            f_total[k] = f_total.get(k, 0) + c
-        for k, c in res.items():
-            rho_total[k] = rho_total.get(k, 0) + c
+    f_total, rho_total = _split(p.terms)
     return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
 
 
@@ -834,24 +778,16 @@ def prolong_t(
         for key, c in poly.terms:
             jets, atoms, scale = key
             for i, ((sym, order), power) in enumerate(jets):
-                rest = list(jets)
-                if power == 1:
-                    del rest[i]
-                else:
-                    rest[i] = ((sym, order), power - 1)
-                base = DiffPoly((((tuple(rest), atoms, scale), c * power),))
+                base_key = (_drop_one(jets, i), atoms, scale)
+                base = DiffPoly(((base_key, c * power),))
                 out = out + base * flow_deriv(sym, order)
             for i, (akey, power) in enumerate(atoms):
                 if akey not in atom_cache:
                     atom_cache[akey] = antiderivative(
                         rec(DiffPoly(akey)), nesting_limit
                     )
-                rest = list(atoms)
-                if power == 1:
-                    del rest[i]
-                else:
-                    rest[i] = (akey, power - 1)
-                base = DiffPoly((((jets, tuple(rest), scale), c * power),))
+                base_key = (jets, _drop_one(atoms, i), scale)
+                base = DiffPoly(((base_key, c * power),))
                 out = out + base * atom_cache[akey]
         return out
 

@@ -149,18 +149,29 @@ class CheckReport:
     passed: bool
     residuals: tuple
 
+    @classmethod
+    def of(cls, name: str, residuals) -> "CheckReport":
+        """A report on (label, residual) pairs; it passes if there are none."""
+        residuals = tuple(residuals)
+        return cls(name, not residuals, residuals)
+
     def residual_lines(self):
         return [f"{label}: {poly!r}" for label, poly in self.residuals]
+
+
+def by_order(res: dict, prefix: str = "") -> list:
+    """Label per-order residuals `<prefix>order k`, highest order first."""
+    return [
+        (f"{prefix}order {k}", diff)
+        for k, diff in sorted(res.items(), reverse=True)
+    ]
 
 
 def check_skew(depth: int) -> CheckReport:
     """Per-order residuals of L* + L; all must vanish."""
     lax = lax_operator(depth)
     total = adjoint(lax, depth) + lax
-    residuals = tuple(
-        (f"order {k}", total.coeffs[k]) for k in total.orders()
-    )
-    return CheckReport("skew-adjointness", not residuals, residuals)
+    return CheckReport.of("skew-adjointness", by_order(total.coeffs))
 
 
 def lax_time_derivative(n: int, depth: int) -> PsiDO:
@@ -178,9 +189,9 @@ def check_lax(n: int, depth: int) -> CheckReport:
     lax_depth = n + depth
     lhs = lax_time_derivative(n, lax_depth)
     rhs = commutator(bn(n), lax_operator(lax_depth))
-    diffs = residuals(lhs, rhs, depth)
-    lines = tuple((f"order {k}", diff) for k, diff in diffs.items())
-    return CheckReport(f"lax-equation t_{n}", not lines, lines)
+    return CheckReport.of(
+        f"lax-equation t_{n}", by_order(residuals(lhs, rhs, depth))
+    )
 
 
 def right_coefficients(a: PsiDO, count: int) -> list:
@@ -211,15 +222,13 @@ def check_residue_coefficients(m: int) -> CheckReport:
     """Verify d_x(a_1) = 2 (qr)_t and a_2 = (qr)_t in right-coefficient form."""
     a1, a2 = right_coefficients(lax_power(m), 2)
     qr_t = prolong_flow(_Q * _R, m)
-    residuals = []
-    first = d_x(a1) - 2 * qr_t
-    if not first.is_zero:
-        residuals.append(("d_x(a_1) - 2*(qr)_t", first))
-    second = a2 - qr_t
-    if not second.is_zero:
-        residuals.append(("a_2 - (qr)_t", second))
-    return CheckReport(
-        f"residue-coefficients t_{m}", not residuals, tuple(residuals)
+    pairs = (
+        ("d_x(a_1) - 2*(qr)_t", d_x(a1) - 2 * qr_t),
+        ("a_2 - (qr)_t", a2 - qr_t),
+    )
+    return CheckReport.of(
+        f"residue-coefficients t_{m}",
+        [(label, diff) for label, diff in pairs if not diff.is_zero],
     )
 
 
@@ -227,12 +236,7 @@ def check_generator_adjoint(n: int) -> CheckReport:
     """B_n* = -B_n for odd n, a consequence of the skew constraint."""
     generator = bn(n)
     total = adjoint(generator) + generator
-    residuals = tuple(
-        (f"order {k}", total.coeffs[k]) for k in total.orders()
-    )
-    return CheckReport(
-        f"generator-adjoint t_{n}", not residuals, tuple(residuals)
-    )
+    return CheckReport.of(f"generator-adjoint t_{n}", by_order(total.coeffs))
 
 
 def residue_identity(m: int) -> DiffPoly:

@@ -179,9 +179,19 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
         eff = depth
 
     out = {}
-    for l, bl in b.coeffs.items():
+    _leibniz_into(out, a.coeffs, b.coeffs, eff)
+    return PsiDO(out, eff)
+
+
+def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
+    """Add the generalized-Leibniz expansion of a o b into out, down to -eff.
+
+    `a` and `b` map orders to coefficients; coefficients of `a` may also be
+    plain integers.
+    """
+    for l, bl in b.items():
         derivs = [bl]
-        for k, ak in a.coeffs.items():
+        for k, ak in a.items():
             if k >= 0:
                 j_iter = range(0, k + 1)
             else:
@@ -201,7 +211,6 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
                 if term.is_zero:
                     continue
                 out[n] = out.get(n, DiffPoly.zero()) + term
-    return PsiDO(out, eff)
 
 
 def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
@@ -226,27 +235,7 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
         eff = depth
     out = {}
     for k, c in a.coeffs.items():
-        sign = -1 if k % 2 else 1
-        derivs = [c]
-        if k >= 0:
-            j_iter = range(0, k + 1)
-        else:
-            j_iter = range(0, k + eff + 1)
-        for j in j_iter:
-            n = k - j
-            if n < -eff:
-                continue
-            while len(derivs) <= j:
-                derivs.append(d_x(derivs[-1]))
-            if derivs[j].is_zero:
-                break
-            coeff = gbinom(k, j)
-            if coeff == 0:
-                continue
-            term = derivs[j] * (sign * coeff)
-            if term.is_zero:
-                continue
-            out[n] = out.get(n, DiffPoly.zero()) + term
+        _leibniz_into(out, {k: -1 if k % 2 else 1}, {0: c}, eff)
     return PsiDO(out, eff)
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import hierarchy
 from .diffring import (
     DEFAULT_NESTING_LIMIT,
     DiffPoly,
@@ -15,7 +16,7 @@ from .diffring import (
     shift_lambda,
 )
 from .errors import OddScaleResidue, ResidualNonlocal
-from .hierarchy import CheckReport, FlowPair, bn
+from .hierarchy import CheckReport, FlowPair, bn, by_order
 from .nonlocal_ops import (
     DX,
     DXINV,
@@ -255,6 +256,19 @@ def verify_aratyn_identities(
     )
     res2 = residuals(lhs2, minus_part(rhs2), depth)
 
+    collected = []
+    for label, res in (
+        ("differential-part identity", res1),
+        ("adjoint identity", res2),
+        ("antiderivative product identity", _product_identity(f, g, depth)),
+    ):
+        collected.extend(by_order(res, f"{label}, "))
+    return CheckReport.of(f"recursion-identities t_{n}", collected)
+
+
+@lru_cache(maxsize=None)
+def _product_identity(f: DiffPoly, g: DiffPoly, depth: int) -> dict:
+    """Per-order residuals of the third identity, which does not involve n."""
     f1, g1, f2, g2 = f, g, g, f
     e1 = expand_to_psido(
         IntDiffOperator(((1, term(f1, DXINV, g1)),)), depth + 1
@@ -273,16 +287,15 @@ def verify_aratyn_identities(
         ),
         depth,
     )
-    res3 = residuals(lhs3, rhs3, depth)
+    return residuals(lhs3, rhs3, depth)
 
-    collected = []
-    for label, res in (
-        ("differential-part identity", res1),
-        ("adjoint identity", res2),
-        ("antiderivative product identity", res3),
-    ):
-        for order, diff in sorted(res.items(), reverse=True):
-            collected.append((f"{label}, order {order}", diff))
-    return CheckReport(
-        f"recursion-identities t_{n}", not collected, tuple(collected)
-    )
+
+def clear_caches() -> None:
+    """Empty every memo table of the recursion layer and the layers below.
+
+    The tables are process-global and unbounded; later calls refill what
+    they need.  Do not call it while another thread is computing.
+    """
+    for cached in (build_matrix, reduce_matrix, _product_identity):
+        cached.cache_clear()
+    hierarchy.clear_caches()

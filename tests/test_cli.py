@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism, env precedence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +147,39 @@ def test_export_to_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["target"] == "lax"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_FORMATS = ("text", "latex", "json")
+_DERIVE_FLAGS = ("--max-flow", "9", "--depth", "10")
+_GOLDEN_CASES = (
+    [
+        (f"derive_{n}.{fmt}", ["derive", str(n), *_DERIVE_FLAGS])
+        for n in (1, 3, 5, 7, 9)
+        for fmt in _FORMATS
+    ]
+    + [
+        (f"export_{name}.{fmt}", ["export", *target])
+        for name, target in (
+            ("lax", ["lax"]),
+            ("bn_7", ["bn", "7"]),
+            ("recursion-matrix", ["recursion-matrix"]),
+        )
+        for fmt in _FORMATS
+    ]
+    + [(f"verify_all.{fmt}", ["verify", "all"]) for fmt in ("text", "json")]
+)
+
+
+@pytest.mark.parametrize(
+    "name, argv", _GOLDEN_CASES, ids=[name for name, _ in _GOLDEN_CASES]
+)
+def test_golden_output(capsys, monkeypatch, name, argv):
+    """stdout matches the recorded output byte for byte."""
+    for var in ("DEPTH", "MAX_FLOW", "FORMAT", "NESTING_LIMIT"):
+        monkeypatch.delenv(f"CCKP_{var}", raising=False)
+    fmt = name.rsplit(".", 1)[1]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cckp import diffring
+import cckp
+from cckp import diffring, hierarchy, recursion
 from cckp.diffring import (
     DiffPoly,
     NonlocalAtom,
@@ -385,3 +386,64 @@ class TestMemoTables:
         assert diffring._is_reduced_local in cached
         assert all(f.cache_info().currsize == 0 for f in cached)
         assert integrate(p) == before
+
+
+def _reference_split_atom_mono(key):
+    """The per-monomial loop `_nf_atom` was built on before `_split`."""
+    pre, res = diffring._closure_reducer(key).reduce({key: Fraction(1)})
+    if key in res:
+        return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
+    f_total = dict(pre)
+    rho_total = {}
+    for mono, coeff in res.items():
+        f_part, rho_part = _reference_nf_any(mono)
+        for total, part in ((f_total, f_part), (rho_total, rho_part)):
+            for k, c in part.terms:
+                nc = total.get(k, 0) + coeff * c
+                if nc:
+                    total[k] = nc
+                elif k in total:
+                    del total[k]
+    return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
+
+
+def _reference_nf_any(key):
+    jets, atoms, scale = key
+    if atoms:
+        return diffring._nf_atom(key)
+    weight = diffring._jet_weight(jets)
+    if weight < 1:
+        return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
+    reducer = diffring._local_reducer(diffring._jet_symdeg(jets), weight, scale)
+    pre, res = reducer.reduce({key: Fraction(1)})
+    return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
+
+
+def _fill_atom_cache(top):
+    """Clear every memo table, then run the step chain from t_1 to t_top."""
+    cckp.clear_caches()
+    pair = hierarchy.flow(1)
+    while pair.m < top:
+        pair = recursion.step(pair)
+    return dict(diffring._NF_ATOM_CACHE)
+
+
+class TestAtomNormalForms:
+    def test_split_matches_per_monomial_reference(self):
+        cached = _fill_atom_cache(7)
+        assert len(cached) > 100
+        for key, value in cached.items():
+            reference = _reference_split_atom_mono(key)
+            assert diffring._split_atom_mono(key) == reference
+            assert value == reference
+
+    def test_normal_forms_do_not_depend_on_the_order(self):
+        cached = _fill_atom_cache(9)
+        keys = sorted(cached)
+        for seed in (1, 2, 3):
+            random.Random(seed).shuffle(keys)
+            cckp.clear_caches()
+            for key in keys:
+                diffring._nf_atom(key)
+            changed = [k for k in keys if diffring._NF_ATOM_CACHE[k] != cached[k]]
+            assert not changed, (seed, len(changed), len(keys))

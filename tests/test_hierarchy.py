@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 import cckp
-from cckp import diffring, hierarchy
+from cckp import diffring, hierarchy, recursion
 from cckp.diffring import (
     DiffPoly,
     d_x,
@@ -303,7 +303,16 @@ class TestFlows:
 
     def test_clear_caches_covers_the_hierarchy(self):
         before = flow(5)
+        identities = recursion.verify_aratyn_identities(3, Q, R)
+        assert recursion._product_identity.cache_info().currsize
         cckp.clear_caches()
+        recursion_cached = [
+            v
+            for v in vars(recursion).values()
+            if hasattr(v, "cache_info") and v.__module__ == recursion.__name__
+        ]
+        assert recursion._product_identity in recursion_cached
+        assert all(f.cache_info().currsize == 0 for f in recursion_cached)
         cached = [
             v
             for v in vars(hierarchy).values()
@@ -321,6 +330,7 @@ class TestFlows:
         after = flow(5)
         assert after == before
         assert after is not before
+        assert recursion.verify_aratyn_identities(3, Q, R) == identities
 
     def test_flowpair_validation(self):
         with pytest.raises(ValueError):

@@ -102,6 +102,22 @@ def test_adjoint_basics():
     assert adjoint(PsiDO.d(-1), depth=4).coeffs == {-1: -DiffPoly.one()}
 
 
+def test_adjoint_matches_naive_series():
+    rng = random.Random(SEED)
+    for _ in range(60):
+        a = random_psido(rng, depth=6)
+        expected = {}
+        for k, c in a.coeffs.items():
+            sign = DiffPoly.const(-1 if k % 2 else 1)
+            for n, v in naive_compose({k: sign}, {0: c}, 5).items():
+                expected[n] = expected.get(n, DiffPoly.zero()) + v
+        engine = adjoint(a, depth=5)
+        assert engine.coeffs == {n: v for n, v in expected.items() if v}
+        assert engine.trunc_depth == 5
+    # The adjoint of a differential operator is exact, not truncated.
+    assert adjoint(PsiDO({2: Q, 0: R})).is_exact
+
+
 def test_leibniz_oracle_negative_orders():
     rng = random.Random(SEED)
     for k in (-1, -2):
