@@ -82,12 +82,31 @@ def build_config(args) -> RunConfig:
     )
 
 
-def _emit(text: str, out_path):
-    if out_path:
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, out_path) -> int:
+    """Write to `out_path`, or to stdout without one; 2 if it is unwritable."""
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _error(f"cannot write output: {exc}")
+    return 0
+
+
+def _emit_json(payload: dict, out_path) -> int:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _depth_error(exc: DepthExhausted, config: RunConfig) -> int:
+    return _error(f"{exc}; raise --depth (currently {config.depth})")
 
 
 def _latex_document(body: str) -> str:
@@ -105,49 +124,40 @@ def _latex_document(body: str) -> str:
 
 def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
     if n % 2 == 0 or n <= 0:
-        print("error: flow index must be a positive odd integer", file=sys.stderr)
-        return 2
+        return _error("flow index must be a positive odd integer")
     if n > config.max_flow:
-        print(
-            f"error: flow index {n} exceeds the configured maximum "
-            f"{config.max_flow}",
-            file=sys.stderr,
+        return _error(
+            f"flow index {n} exceeds the configured maximum {config.max_flow}"
         )
-        return 2
     try:
         generator = hierarchy.bn(n, config.depth)
         fp = hierarchy.flow(n, config.depth)
     except DepthExhausted as exc:
-        print(
-            f"error: {exc}; raise --depth (currently {config.depth})",
-            file=sys.stderr,
-        )
-        return 2
+        return _depth_error(exc, config)
     if config.output_format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "n": n,
-            "generator": psido_json(generator),
-            "flow": {"q_t": poly_json(fp.q_t), "r_t": poly_json(fp.r_t)},
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-    elif config.output_format == "latex":
-        body = (
+        return _emit_json(
+            {
+                "n": n,
+                "generator": psido_json(generator),
+                "flow": {"q_t": poly_json(fp.q_t), "r_t": poly_json(fp.r_t)},
+            },
+            out_path,
+        )
+    if config.output_format == "latex":
+        return _emit(
             f"\\begin{{align*}}\n"
             f"B_{{{n}}} &= {psido_latex(generator)} \\\\\n"
             f"q_{{t_{{{n}}}}} &= {poly_latex(fp.q_t)} \\\\\n"
             f"r_{{t_{{{n}}}}} &= {poly_latex(fp.r_t)}\n"
-            f"\\end{{align*}}\n"
-        )
-        _emit(body, out_path)
-    else:
-        _emit(
-            f"B_{n} = {psido_text(generator)}\n"
-            f"q_t{n} = {poly_text(fp.q_t)}\n"
-            f"r_t{n} = {poly_text(fp.r_t)}\n",
+            f"\\end{{align*}}\n",
             out_path,
         )
-    return 0
+    return _emit(
+        f"B_{n} = {psido_text(generator)}\n"
+        f"q_t{n} = {poly_text(fp.q_t)}\n"
+        f"r_t{n} = {poly_text(fp.r_t)}\n",
+        out_path,
+    )
 
 
 # -- verify -----------------------------------------------------------------------
@@ -308,12 +318,10 @@ def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
     try:
         checks = run_suite(suite, config)
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     passed = all(c.passed for c in checks)
     if config.output_format == "json":
         payload = {
-            "schema_version": SCHEMA_VERSION,
             "suite": suite,
             "config": {
                 "depth": config.depth,
@@ -333,7 +341,7 @@ def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
                 for c in checks
             ],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+        code = _emit_json(payload, out_path)
     else:
         lines = []
         for c in checks:
@@ -341,86 +349,54 @@ def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
             for label, diff in c.residuals:
                 lines.append(f"    {label}: {poly_text(diff)}")
         lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", out_path)
-    return 0 if passed else 1
+        code = _emit("\n".join(lines) + "\n", out_path)
+    return code or (0 if passed else 1)
 
 
 # -- export ------------------------------------------------------------------------
 
+# Operator renderers by output format: (PsiDO, integro-differential operator).
+_RENDERERS = {
+    "text": (psido_text, operator_text),
+    "latex": (psido_latex, operator_latex),
+    "json": (psido_json, operator_json),
+}
+
 
 def cmd_export(target: str, n, config: RunConfig, out_path=None) -> int:
+    fmt = config.output_format
+    render_psido, render_operator = _RENDERERS[fmt]
+    if target == "bn" and n is None:
+        return _error("export bn needs a flow index")
     try:
-        if target == "lax":
-            obj = hierarchy.lax_operator(config.depth)
-            text, latex, data = (
-                psido_text(obj),
-                psido_latex(obj),
-                psido_json(obj),
-            )
-            label = "L"
-        elif target == "bn":
-            if n is None:
-                print("error: export bn needs a flow index", file=sys.stderr)
-                return 2
-            obj = hierarchy.bn(n, config.depth)
-            text, latex, data = (
-                psido_text(obj),
-                psido_latex(obj),
-                psido_json(obj),
-            )
-            label = f"B_{{{n}}}"
-        elif target == "recursion-matrix":
+        if target == "recursion-matrix":
             mat = recursion.build_matrix()
-            entries = {
-                "r11": mat.r11,
-                "r12": mat.r12,
-                "r21": mat.r21,
-                "r22": mat.r22,
+            content = {
+                name: render_operator(getattr(mat, name))
+                for name in ("r11", "r12", "r21", "r22")
             }
-            text = "\n".join(
-                f"{name} = {operator_text(entry)}"
-                for name, entry in entries.items()
-            )
-            latex = "\\begin{align*}\n" + " \\\\\n".join(
-                f"R_{{{name[1:]}}} &= {operator_latex(entry)}"
-                for name, entry in entries.items()
-            ) + "\n\\end{align*}"
-            data = {
-                name: operator_json(entry) for name, entry in entries.items()
-            }
-            label = "R"
+        elif target == "lax":
+            content = render_psido(hierarchy.lax_operator(config.depth))
+        elif target == "bn":
+            content = render_psido(hierarchy.bn(n, config.depth))
         else:
-            print(f"error: unknown export target {target!r}", file=sys.stderr)
-            return 2
+            return _error(f"unknown export target {target!r}")
     except DepthExhausted as exc:
-        print(
-            f"error: {exc}; raise --depth (currently {config.depth})",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
-        if config.output_format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "target": target,
-                "content": data,
-            }
-            _emit(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path
-            )
-        elif config.output_format == "latex":
-            if target == "recursion-matrix":
-                body = latex
-            else:
-                body = f"\\[ {label} = {latex} \\]"
-            _emit(_latex_document(body), out_path)
-        else:
-            _emit(text + "\n", out_path)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return _depth_error(exc, config)
+    if fmt == "json":
+        return _emit_json({"target": target, "content": content}, out_path)
+    if fmt == "text":
+        if target == "recursion-matrix":
+            content = "\n".join(f"{k} = {v}" for k, v in content.items())
+        return _emit(content + "\n", out_path)
+    if target == "recursion-matrix":
+        body = "\\begin{align*}\n" + " \\\\\n".join(
+            f"R_{{{k[1:]}}} &= {v}" for k, v in content.items()
+        ) + "\n\\end{align*}"
+    else:
+        label = "L" if target == "lax" else f"B_{{{n}}}"
+        body = f"\\[ {label} = {content} \\]"
+    return _emit(_latex_document(body), out_path)
 
 
 # -- entry point ----------------------------------------------------------------------
@@ -469,8 +445,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     if args.command == "derive":
         return cmd_derive(args.n, config, args.out)
     if args.command == "verify":

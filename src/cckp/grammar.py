@@ -1,5 +1,8 @@
 """Canonical text, JSON and LaTeX forms for ring elements.
 
+Text and LaTeX come from one walk and differ only in the tokens of their
+`_Style` (`TEXT`, `LATEX`); the operator renderers share it.
+
 Text grammar: jet variables are ``q``, ``q'``, ``q''`` and ``q[k]`` for
 k >= 3; atoms are ``I(<poly>)``; the scale constant is ``lam``; rational
 coefficients are ``a`` or ``a/b``.  ``parse_poly(poly_text(p)) == p`` holds
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .diffring import DiffPoly, antiderivative
 from .errors import GrammarError
@@ -19,41 +23,97 @@ _TOKEN = re.compile(
 )
 
 
-def _factor_text(name: str, power: int) -> str:
-    return name if power == 1 else f"{name}^{power}"
+class _Style(NamedTuple):
+    """The tokens in which the text and LaTeX forms differ."""
+
+    jet: Callable[[str, int], str]  # (symbol, derivative order) -> name
+    power: str  # template with slots for the base and the exponent
+    coeff: Callable[[Fraction], str]
+    atom: str  # template with a slot for the integrand
+    lam: str
+    d: str
+    paren: str
+    mul: str  # between the factors of a monomial
+    dmul: str  # between an operator coefficient and its power of d
+    minus: str  # leading minus of an integro-differential operator
 
 
-def _jet_name(sym: str, order: int) -> str:
+def _jet_text(sym: str, order: int) -> str:
+    return sym + "'" * order if order <= 2 else f"{sym}[{order}]"
+
+
+def _jet_latex(sym: str, order: int) -> str:
     if order == 0:
         return sym
-    if order == 1:
-        return sym + "'"
-    if order == 2:
-        return sym + "''"
-    return f"{sym}[{order}]"
+    if order <= 6:
+        return f"{sym}_{{{'x' * order}}}"
+    return f"{sym}^{{({order})}}"
 
 
-def poly_text(p: DiffPoly) -> str:
-    if p.is_zero:
-        return "0"
+def _coeff_latex(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
+
+
+TEXT = _Style(
+    _jet_text, "{}^{}", str, "I({})", "lam", "d", "({})", "*", "*", "- "
+)
+LATEX = _Style(
+    _jet_latex, "{}^{{{}}}", _coeff_latex, r"\left(\int {}\right)",
+    r"\lambda", r"\partial", r"\left({}\right)", " ", "", "-",
+)
+
+
+def _power(s: _Style, base: str, exponent: int) -> str:
+    return base if exponent == 1 else s.power.format(base, exponent)
+
+
+def _signed_sum(pieces, minus: str = "-") -> str:
+    """Join (coefficient, body) pairs with their signs; "0" when empty."""
+    out = []
+    for coeff, body in pieces:
+        if out:
+            out.append(" + " if coeff > 0 else " - ")
+        elif coeff < 0:
+            out.append(minus)
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def _render_poly(p: DiffPoly, s: _Style) -> str:
     pieces = []
     for (jets, atoms, scale), coeff in p.display_terms():
         factors = []
         for (sym, order), power in jets:
-            factors.append(_factor_text(_jet_name(sym, order), power))
+            name = s.jet(sym, order)
+            if power != 1 and "^" in name:
+                name = f"{{{name}}}"  # a double superscript is invalid LaTeX
+            factors.append(_power(s, name, power))
         for akey, power in atoms:
-            factors.append(_factor_text(f"I({poly_text(DiffPoly(akey))})", power))
+            atom = s.atom.format(_render_poly(DiffPoly(akey), s))
+            factors.append(_power(s, atom, power))
         if scale:
-            factors.append("lam" if scale == 1 else f"lam^{scale}")
+            factors.append(_power(s, s.lam, scale))
         mag = abs(coeff)
         if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(pieces)
+            factors.insert(0, s.coeff(mag))
+        pieces.append((coeff, s.mul.join(factors)))
+    return _signed_sum(pieces)
+
+
+def _grouped(p: DiffPoly, s: _Style) -> str:
+    """`p` as a factor of a product: parenthesized if it has several terms."""
+    body = _render_poly(p, s)
+    return s.paren.format(body) if len(p.terms) > 1 else body
+
+
+def poly_text(p: DiffPoly) -> str:
+    return _render_poly(p, TEXT)
+
+
+def poly_latex(p: DiffPoly) -> str:
+    return _render_poly(p, LATEX)
 
 
 class _Parser:
@@ -217,47 +277,3 @@ def poly_from_json(data: dict) -> DiffPoly:
         return out
     except (KeyError, TypeError, ValueError) as exc:
         raise GrammarError(f"malformed polynomial JSON: {exc}") from exc
-
-
-# -- LaTeX ----------------------------------------------------------------------
-
-
-def _jet_latex(sym: str, order: int) -> str:
-    if order == 0:
-        return sym
-    if order <= 6:
-        return f"{sym}_{{{'x' * order}}}"
-    return f"{sym}^{{({order})}}"
-
-
-def _coeff_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
-
-
-def poly_latex(p: DiffPoly) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for (jets, atoms, scale), coeff in p.display_terms():
-        factors = []
-        for (sym, order), power in jets:
-            name = _jet_latex(sym, order)
-            factors.append(name if power == 1 else f"{name}^{{{power}}}")
-        for akey, power in atoms:
-            name = rf"\left(\int {poly_latex(DiffPoly(akey))}\right)"
-            factors.append(name if power == 1 else f"{name}^{{{power}}}")
-        if scale:
-            factors.append(
-                r"\lambda" if scale == 1 else rf"\lambda^{{{scale}}}"
-            )
-        mag = abs(coeff)
-        body = " ".join(factors)
-        if mag != 1 or not factors:
-            body = (_coeff_latex(mag) + " " + body).strip()
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(pieces)

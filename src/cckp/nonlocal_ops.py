@@ -21,6 +21,15 @@ from .diffring import (
     swap_q_r as poly_swap_q_r,
 )
 from .errors import GrammarError
+from .grammar import (
+    LATEX,
+    TEXT,
+    _grouped,
+    _power,
+    _signed_sum,
+    poly_from_json,
+    poly_json,
+)
 from .psido import EXACT_DEPTH, PsiDO, compose
 
 DX = "D"
@@ -377,76 +386,44 @@ def _run_length_factors(chain):
     return out
 
 
-def term_text(t: IntDiffTerm) -> str:
-    from .grammar import poly_text
-
+def _render_term(t: IntDiffTerm, s) -> str:
     pieces = []
     for factor, count in _run_length_factors(t.chain):
         if factor is DX:
-            pieces.append("d" if count == 1 else f"d^{count}")
+            pieces.append(_power(s, s.d, count))
         elif factor is DXINV:
-            pieces.append(f"d^-{count}")
+            pieces.append(_power(s, s.d, -count))
         else:
-            body = poly_text(factor)
-            pieces.append(f"({body})" if len(factor.terms) > 1 else body)
+            pieces.append(_grouped(factor, s))
     return " ".join(pieces)
 
 
-def operator_text(operator: IntDiffOperator) -> str:
-    if not operator.terms:
-        return "0"
+def _render(operator: IntDiffOperator, s) -> str:
     pieces = []
     for weight, t in operator.terms:
-        body = term_text(t)
+        body = _render_term(t, s)
         mag = abs(weight)
-        prefix = "" if mag == 1 else f"{mag} "
-        chunk = f"{prefix}{body}"
-        if not pieces:
-            pieces.append(chunk if weight > 0 else f"- {chunk}")
-        else:
-            pieces.append((" + " if weight > 0 else " - ") + chunk)
-    return "".join(pieces)
+        pieces.append((weight, body if mag == 1 else f"{s.coeff(mag)} {body}"))
+    return _signed_sum(pieces, s.minus)
+
+
+def term_text(t: IntDiffTerm) -> str:
+    return _render_term(t, TEXT)
 
 
 def term_latex(t: IntDiffTerm) -> str:
-    from .grammar import poly_latex
+    return _render_term(t, LATEX)
 
-    pieces = []
-    for factor, count in _run_length_factors(t.chain):
-        if factor is DX:
-            pieces.append(
-                r"\partial" if count == 1 else rf"\partial^{{{count}}}"
-            )
-        elif factor is DXINV:
-            pieces.append(rf"\partial^{{-{count}}}")
-        else:
-            body = poly_latex(factor)
-            pieces.append(
-                rf"\left({body}\right)" if len(factor.terms) > 1 else body
-            )
-    return " ".join(pieces)
+
+def operator_text(operator: IntDiffOperator) -> str:
+    return _render(operator, TEXT)
 
 
 def operator_latex(operator: IntDiffOperator) -> str:
-    from .grammar import _coeff_latex
-
-    if not operator.terms:
-        return "0"
-    pieces = []
-    for weight, t in operator.terms:
-        body = term_latex(t)
-        mag = abs(weight)
-        chunk = body if mag == 1 else f"{_coeff_latex(mag)} {body}"
-        if not pieces:
-            pieces.append(chunk if weight > 0 else f"-{chunk}")
-        else:
-            pieces.append((" + " if weight > 0 else " - ") + chunk)
-    return "".join(pieces)
+    return _render(operator, LATEX)
 
 
 def operator_json(operator: IntDiffOperator) -> dict:
-    from .grammar import poly_json
-
     terms = []
     for weight, t in operator.terms:
         chain = []
@@ -462,8 +439,6 @@ def operator_json(operator: IntDiffOperator) -> dict:
 
 
 def operator_from_json(data: dict) -> IntDiffOperator:
-    from .grammar import poly_from_json
-
     try:
         out = []
         for entry in data["terms"]:

@@ -15,7 +15,15 @@ from functools import lru_cache
 from typing import Iterable
 
 from .diffring import DiffPoly, d_x
-from .errors import DepthExhausted, NegativeOrderApplication
+from .errors import DepthExhausted, GrammarError, NegativeOrderApplication
+from .grammar import (
+    LATEX,
+    TEXT,
+    _grouped,
+    _power,
+    poly_from_json,
+    poly_json,
+)
 
 EXACT_DEPTH = 10 ** 9
 
@@ -131,9 +139,6 @@ class PsiDO:
 
     def __repr__(self) -> str:
         return psido_text(self)
-
-    def equals_to_depth(self, other: "PsiDO", depth: int) -> bool:
-        return not residuals(self, other, depth)
 
 
 def _would_be_infinite(a: PsiDO, b: PsiDO) -> bool:
@@ -300,29 +305,27 @@ def residuals(a: PsiDO, b: PsiDO, depth: int) -> dict:
 # -- rendering ------------------------------------------------------------------
 
 
-def psido_text(a: PsiDO) -> str:
-    from .grammar import poly_text
-
-    if not a.coeffs:
-        return "0"
+def _render(a: PsiDO, s) -> str:
     pieces = []
     for k in a.orders():
-        c = a.coeffs[k]
-        body = poly_text(c)
-        if len(c.terms) > 1:
-            body = f"({body})"
+        body = _grouped(a.coeffs[k], s)
         if k == 0:
-            piece = body
+            pieces.append(body)
         else:
-            dpow = "d" if k == 1 else f"d^{k}"
-            piece = dpow if body == "1" else f"{body}*{dpow}"
-        pieces.append(piece)
-    return " + ".join(pieces)
+            dpow = _power(s, s.d, k)
+            pieces.append(dpow if body == "1" else body + s.dmul + dpow)
+    return " + ".join(pieces) or "0"
+
+
+def psido_text(a: PsiDO) -> str:
+    return _render(a, TEXT)
+
+
+def psido_latex(a: PsiDO) -> str:
+    return _render(a, LATEX)
 
 
 def psido_json(a: PsiDO) -> dict:
-    from .grammar import poly_json
-
     return {
         "trunc_depth": None if a.is_exact else a.trunc_depth,
         "coeffs": {str(k): poly_json(a.coeffs[k]) for k in a.orders()},
@@ -330,9 +333,6 @@ def psido_json(a: PsiDO) -> dict:
 
 
 def psido_from_json(data: dict) -> PsiDO:
-    from .errors import GrammarError
-    from .grammar import poly_from_json
-
     try:
         depth = data.get("trunc_depth")
         coeffs = {
@@ -341,23 +341,3 @@ def psido_from_json(data: dict) -> PsiDO:
         return PsiDO(coeffs, EXACT_DEPTH if depth is None else depth)
     except (KeyError, TypeError, ValueError) as exc:
         raise GrammarError(f"malformed operator JSON: {exc}") from exc
-
-
-def psido_latex(a: PsiDO) -> str:
-    from .grammar import poly_latex
-
-    if not a.coeffs:
-        return "0"
-    pieces = []
-    for k in a.orders():
-        c = a.coeffs[k]
-        body = poly_latex(c)
-        if len(c.terms) > 1:
-            body = rf"\left({body}\right)"
-        if k == 0:
-            piece = body
-        else:
-            dpow = r"\partial" if k == 1 else rf"\partial^{{{k}}}"
-            piece = dpow if body == "1" else f"{body}{dpow}"
-        pieces.append(piece)
-    return " + ".join(pieces)

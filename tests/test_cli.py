@@ -149,6 +149,17 @@ def test_export_to_file(tmp_path, capsys):
     assert payload["target"] == "lax"
 
 
+@pytest.mark.parametrize(
+    "argv", [["derive", "3"], ["verify", "skew"], ["export", "lax"]]
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output:")
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _FORMATS = ("text", "latex", "json")

@@ -153,6 +153,14 @@ class TestReduction:
             "q[5]+20*q^2*q[3]+80*q*q'*q''+120*q^4*q'+20*q'^3"
         )
 
+    def test_chain_reaches_t11(self):
+        # Powers of the reduced operator on q' give the reduced flows of the
+        # independent generator route.
+        current = QX
+        for n in range(3, 12, 2):
+            current = nl_apply(reduce_matrix(), current)
+            assert current == substitute_r_to_q(flow(n).q_t), n
+
     @pytest.mark.parametrize("m", (1, 3))
     def test_commutes_with_step(self, m):
         fp = flow(m)
@@ -202,6 +210,14 @@ class TestScaling:
         assert fifth == P(
             "u[5] + 5/3*u^2*u[3] + 20/3*u*u'*u'' + 5/6*u^4*u' + 5/3*u'^3"
         )
+
+
+    def test_scaled_chain_reaches_t9(self):
+        current = DiffPoly.jet("u", 1)
+        for n in range(3, 10, 2):
+            current = nl_apply(scaled_mkdv_literal(), current)
+            reduced = substitute_r_to_q(flow(n).q_t)
+            assert current == scale_substitute(reduced, Fraction(1, 12)), n
 
 
 class TestOperatorIdentities:
