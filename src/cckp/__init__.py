@@ -7,7 +7,6 @@ and the recursion operator with its mKdV reduction.
 
 from .diffring import (
     DiffPoly,
-    JetVar,
     NonlocalAtom,
     antiderivative,
     d_x,
@@ -59,7 +58,6 @@ from .recursion import (
 
 __all__ = [
     "DiffPoly",
-    "JetVar",
     "NonlocalAtom",
     "antiderivative",
     "d_x",

@@ -315,6 +315,8 @@ def run_suite(suite: str, config: RunConfig):
 
 
 def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
+    if config.output_format == "latex":
+        return _error("verify writes text or json, not latex")
     try:
         checks = run_suite(suite, config)
     except EngineError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 from .errors import EngineError, NestingTooDeep, OddScaleResidue
 
@@ -28,8 +28,9 @@ DEFAULT_NESTING_LIMIT = 2
 
 # A monomial key is (jets, atoms, scale):
 #   jets:  tuple of ((symbol, order), power), sorted
-#   atoms: tuple of (atom_key, power), sorted; atom_key is the integrand's
-#          terms tuple, so atoms are equal exactly when their integrands are
+#   atoms: tuple of (atom_key, power), sorted; atom_key is the key of the
+#          atom's monic, lam-free integrand, so atoms are equal exactly when
+#          their integrands are
 #   scale: integer exponent of the formal constant lam
 
 _EMPTY_KEY = ((), (), 0)
@@ -104,11 +105,7 @@ def _jet_symdeg(jets):
 
 @lru_cache(maxsize=None)
 def _atom_depth(atom_key) -> int:
-    inner = 0
-    for (_, atoms, _), _ in atom_key:
-        for akey, _ in atoms:
-            inner = max(inner, _atom_depth(akey))
-    return 1 + inner
+    return 1 + max((_atom_depth(a) for a, _ in atom_key[1]), default=0)
 
 
 def _key_atom_depths(key):
@@ -146,13 +143,6 @@ def _display_key(item):
     )
 
 
-class JetVar(NamedTuple):
-    """A dependent symbol together with its number of x-derivatives."""
-
-    symbol: str
-    order: int
-
-
 class DiffPoly:
     """Exact-rational polynomial in jet variables and antiderivative atoms."""
 
@@ -179,17 +169,21 @@ class DiffPoly:
         return cls(((_EMPTY_KEY, c),)) if c else _ZERO_POLY
 
     @classmethod
+    def monomial(cls, key) -> "DiffPoly":
+        """The monic one-term polynomial with the given monomial key."""
+        return cls(((key, Fraction(1)),))
+
+    @classmethod
     def jet(cls, symbol: str, order: int = 0) -> "DiffPoly":
         if symbol not in SYMBOLS:
             raise ValueError(f"unknown symbol {symbol!r}")
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        key = ((((symbol, order), 1),), (), 0)
-        return cls(((key, Fraction(1)),))
+        return cls.monomial(((((symbol, order), 1),), (), 0))
 
     @classmethod
     def lam(cls, exponent: int = 1) -> "DiffPoly":
-        return cls(((((), (), exponent), Fraction(1)),))
+        return cls.monomial(((), (), exponent))
 
     # -- ring structure -----------------------------------------------------
 
@@ -268,13 +262,6 @@ class DiffPoly:
 
     # -- structure inspection ------------------------------------------------
 
-    def monomials(self) -> Iterator[tuple]:
-        """Yield (coefficient, jet factors, atom factors, scale exponent)."""
-        for (jets, atoms, scale), c in self.terms:
-            jet_view = tuple((JetVar(*jv), p) for jv, p in jets)
-            atom_view = tuple((NonlocalAtom(DiffPoly(a)), p) for a, p in atoms)
-            yield c, jet_view, atom_view, scale
-
     @property
     def is_local(self) -> bool:
         return all(not k[1] for k, _ in self.terms)
@@ -303,7 +290,7 @@ class DiffPoly:
             for (sym, _), _p in jets:
                 out.add(sym)
             for akey, _p in atoms:
-                out |= DiffPoly(akey).symbols()
+                out |= DiffPoly.monomial(akey).symbols()
         return out
 
     def max_atom_depth(self) -> int:
@@ -318,7 +305,7 @@ class DiffPoly:
 
 
 _ZERO_POLY = DiffPoly()
-_ONE_POLY = DiffPoly(((_EMPTY_KEY, Fraction(1)),))
+_ONE_POLY = DiffPoly.monomial(_EMPTY_KEY)
 
 
 def _coerce(x):
@@ -332,33 +319,36 @@ def _coerce(x):
 class NonlocalAtom:
     """Formal antiderivative of an expression that is not a total derivative.
 
-    The integrand must be in reduced form (integrating it again yields no
-    local part); two atoms are equal exactly when their integrands are.
+    The integrand must be one monic, lam-free monomial in reduced form
+    (integrating it again yields no local part); two atoms are equal exactly
+    when their integrands are.
     """
 
     __slots__ = ("key",)
 
     def __init__(self, integrand: DiffPoly):
-        if integrand.is_zero:
-            raise ValueError("atom integrand must be nonzero")
-        local, _rho = integrate(integrand)
-        if not local.is_zero:
+        if len(integrand.terms) != 1:
+            raise ValueError("atom integrand must be a single monomial")
+        ((key, c),) = integrand.terms
+        if c != 1 or key[2]:
+            raise ValueError("atom integrand must be monic and free of lam")
+        if not _is_reduced_mono(key):
             raise ValueError(
                 "atom integrand is not reduced; build antiderivatives "
                 "through antiderivative() instead"
             )
-        self.key = integrand.terms
+        self.key = key
 
     @property
     def integrand(self) -> DiffPoly:
-        return DiffPoly(self.key)
+        return DiffPoly.monomial(self.key)
 
     @property
     def depth(self) -> int:
         return _atom_depth(self.key)
 
     def as_poly(self) -> DiffPoly:
-        return DiffPoly(((((), ((self.key, 1),), 0), Fraction(1)),))
+        return DiffPoly.monomial(((), ((self.key, 1),), 0))
 
     def __eq__(self, other):
         return isinstance(other, NonlocalAtom) and self.key == other.key
@@ -367,9 +357,7 @@ class NonlocalAtom:
         return hash(("atom", self.key))
 
     def __repr__(self):
-        from .grammar import poly_text
-
-        return f"I({poly_text(self.integrand)})"
+        return f"I({self.integrand!r})"
 
 
 # -- differentiation ---------------------------------------------------------
@@ -384,8 +372,8 @@ def _dx_key(key) -> dict:
         nk = (bumped, atoms, scale)
         out[nk] = out.get(nk, 0) + power
     for i, (akey, power) in enumerate(atoms):
-        base = (jets, _drop_one(atoms, i), scale)
-        _addto(out, [(_key_mul(base, ik), ic) for ik, ic in akey], power)
+        nk = _key_mul((jets, _drop_one(atoms, i), scale), akey)
+        out[nk] = out.get(nk, 0) + power
     return out
 
 
@@ -567,7 +555,6 @@ def _is_reduced_mono(key) -> bool:
     """Whether the monomial survives integration untouched."""
     if not key[1]:
         return _is_reduced_local(key)
-    # Not memoized: _NF_ATOM_CACHE may hold an in-progress placeholder.
     f, _rho = _nf_atom(key)
     return f.is_zero
 
@@ -577,13 +564,12 @@ def _candidates_for(key):
     if key[1]:
         _, atoms, scale = key
         for nu in _wrap_divisors(key):
-            akey = ((nu, Fraction(1)),)
-            if _atom_depth(akey) > _WRAP_DEPTH_CAP:
+            if _atom_depth(nu) > _WRAP_DEPTH_CAP:
                 continue
             if not _is_reduced_mono(nu):
                 continue
             quotient = ((), _factor_sub(atoms, nu[1]), scale)
-            out.add(_key_mul(quotient, ((), ((akey, 1),), 0)))
+            out.add(_key_mul(quotient, ((), ((nu, 1),), 0)))
     return out
 
 
@@ -624,28 +610,28 @@ def _closure_reducer(key) -> _Reducer:
     return reducer
 
 
+_NF_ATOM_BUILDING = set()
+
+
 def _nf_atom(key):
     """Canonical split of one atom-bearing monomial as (d_x preimage, residue).
 
     Memoized globally; the result depends on the monomial alone, never on the
-    expression it came from.
+    expression it came from.  Only finished results are stored: a build that
+    needs its own result raises `EngineError` instead.
     """
     cached = _NF_ATOM_CACHE.get(key)
     if cached is not None:
         return cached
-    # Pre-seed so that self-lookups during closure building treat the
-    # monomial as currently irreducible; the final value overwrites this.
-    _NF_ATOM_CACHE[key] = (
-        DiffPoly.zero(),
-        DiffPoly(((key, Fraction(1)),)),
-    )
+    if key in _NF_ATOM_BUILDING:
+        raise EngineError(
+            f"the normal form of {DiffPoly.monomial(key)!r} depends on itself"
+        )
+    _NF_ATOM_BUILDING.add(key)
     try:
         result = _split_atom_mono(key)
-    except BaseException:
-        # A failed build must not leave the placeholder behind: later calls
-        # would take it for a final answer.
-        del _NF_ATOM_CACHE[key]
-        raise
+    finally:
+        _NF_ATOM_BUILDING.discard(key)
     _NF_ATOM_CACHE[key] = result
     return result
 
@@ -654,11 +640,9 @@ def _split_atom_mono(key):
     """Uncached body of `_nf_atom`."""
     pre, res = _closure_reducer(key).reduce({key: Fraction(1)})
     if key in res:
-        return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
+        return DiffPoly.zero(), DiffPoly.monomial(key)
     # The residual can hold monomials that their own closures reduce.
-    # Splitting it again is exact because the split is linear; `_split`
-    # resolves atom monomials in the order `res` gives, so nested `_nf_atom`
-    # calls run in a fixed order while this key's placeholder is cached.
+    # Splitting it again is exact because the split is linear.
     f_total, rho_total = _split(res.items())
     _addto(f_total, pre.items())
     return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
@@ -678,7 +662,6 @@ def clear_caches() -> None:
         _component_jets,
         _local_reducer,
         _is_reduced_local,
-        _scale_atom_q_to_u,
     ):
         cached.cache_clear()
 
@@ -726,24 +709,23 @@ def antiderivative(
     """The engine's full antiderivative: local part plus atoms for the rest.
 
     Each irreducible remainder monomial becomes one monic-integrand atom with
-    its coefficient kept outside, so antiderivatives are linear and atoms are
-    maximally shareable across independent computations.
+    its coefficient and lam power kept outside, so antiderivatives are linear
+    and atoms are maximally shareable across independent computations.
     """
     local, rho = integrate(p)
-    out = local
+    out = dict(local.terms)
     for (jets, atoms, scale), c in rho.terms:
-        mono = DiffPoly((((jets, atoms, 0), Fraction(1)),))
-        depth = 1 + mono.max_atom_depth()
+        akey = (jets, atoms, 0)
+        depth = _atom_depth(akey)
         if depth > nesting_limit:
             raise NestingTooDeep(
                 f"antiderivative atom would have nesting depth {depth} "
                 f"(limit {nesting_limit})"
             )
-        atom_term = NonlocalAtom(mono).as_poly()
-        if scale:
-            atom_term = atom_term * DiffPoly.lam(scale)
-        out = out + c * atom_term
-    return out
+        if not _is_reduced_mono(akey):
+            raise EngineError(f"unreduced remainder {DiffPoly.monomial(akey)!r}")
+        _addto(out, ((((), ((akey, 1),), scale), c),))
+    return DiffPoly._from_dict(out)
 
 
 # -- prolongation along a flow ------------------------------------------------
@@ -784,7 +766,7 @@ def prolong_t(
             for i, (akey, power) in enumerate(atoms):
                 if akey not in atom_cache:
                     atom_cache[akey] = antiderivative(
-                        rec(DiffPoly(akey)), nesting_limit
+                        rec(DiffPoly.monomial(akey)), nesting_limit
                     )
                 base_key = (jets, _drop_one(atoms, i), scale)
                 base = DiffPoly(((base_key, c * power),))
@@ -820,7 +802,7 @@ def apply_symbol_map(
         )
         for akey, power in atoms:
             rebuilt = antiderivative(
-                apply_symbol_map(DiffPoly(akey), mapping, nesting_limit),
+                apply_symbol_map(DiffPoly.monomial(akey), mapping, nesting_limit),
                 nesting_limit,
             )
             term = term * rebuilt ** power
@@ -861,28 +843,11 @@ def _scale_key_q_to_u(key):
             )
     new_atoms = []
     for akey, power in atoms:
-        sub_exp, sub_key = _scale_atom_q_to_u(akey)
+        sub_key, sub_exp = _scale_key_q_to_u(akey)
         new_atoms.append((sub_key, power))
         exponent += sub_exp * power
     nk = (tuple(sorted(new_jets)), tuple(sorted(new_atoms)), scale)
     return nk, exponent
-
-
-@lru_cache(maxsize=None)
-def _scale_atom_q_to_u(akey):
-    """Scale an atom integrand; the integrand must be lam-homogeneous."""
-    exps = set()
-    terms = {}
-    for key, c in akey:
-        nk, e = _scale_key_q_to_u(key)
-        exps.add(e)
-        terms[nk] = terms.get(nk, 0) + c
-    if len(exps) != 1:
-        raise OddScaleResidue(
-            "atom integrand is not homogeneous under the scaling substitution"
-        )
-    new_poly = DiffPoly._from_dict(terms)
-    return exps.pop(), new_poly.terms
 
 
 def scale_q_to_u(p: DiffPoly) -> DiffPoly:

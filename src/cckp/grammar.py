@@ -91,7 +91,7 @@ def _render_poly(p: DiffPoly, s: _Style) -> str:
                 name = f"{{{name}}}"  # a double superscript is invalid LaTeX
             factors.append(_power(s, name, power))
         for akey, power in atoms:
-            atom = s.atom.format(_render_poly(DiffPoly(akey), s))
+            atom = s.atom.format(_render_poly(DiffPoly.monomial(akey), s))
             factors.append(_power(s, atom, power))
         if scale:
             factors.append(_power(s, s.lam, scale))
@@ -253,7 +253,8 @@ def poly_json(p: DiffPoly) -> dict:
                 "coeff": str(coeff),
                 "jets": [[sym, order, power] for (sym, order), power in jets],
                 "atoms": [
-                    [poly_json(DiffPoly(akey)), power] for akey, power in atoms
+                    [poly_json(DiffPoly.monomial(akey)), power]
+                    for akey, power in atoms
                 ],
                 "scale": scale,
             }

@@ -271,7 +271,7 @@ def distribute(operator: IntDiffOperator) -> IntDiffOperator:
             new_pieces = []
             for w, chain in pieces:
                 for key, c in factor.terms:
-                    mono = DiffPoly(((key, Fraction(1)),))
+                    mono = DiffPoly.monomial(key)
                     new_pieces.append((w * c, chain + [mono]))
             pieces = new_pieces
         out.extend((w, IntDiffTerm(chain)) for w, chain in pieces)
@@ -341,7 +341,7 @@ def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
                     k_poly = DiffPoly(
                         (((jets, remaining, scale), coeff),)
                     )
-                    integrand = DiffPoly(akey)
+                    integrand = DiffPoly.monomial(akey)
                     partner = IntDiffTerm(
                         chain[:-2] + (DXINV, integrand, DXINV, k_poly)
                     )
@@ -350,8 +350,8 @@ def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
                         if used[j] or j == i:
                             continue
                         if wj == wi and _chain_key(tj.chain) == pkey:
-                            atom_poly = DiffPoly(
-                                ((((), ((akey, 1),), 0), Fraction(1)),)
+                            atom_poly = DiffPoly.monomial(
+                                ((), ((akey, 1),), 0)
                             )
                             match = (
                                 j,

@@ -21,6 +21,7 @@ from .grammar import (
     TEXT,
     _grouped,
     _power,
+    _signed_sum,
     poly_from_json,
     poly_json,
 )
@@ -308,13 +309,15 @@ def residuals(a: PsiDO, b: PsiDO, depth: int) -> dict:
 def _render(a: PsiDO, s) -> str:
     pieces = []
     for k in a.orders():
-        body = _grouped(a.coeffs[k], s)
-        if k == 0:
-            pieces.append(body)
-        else:
+        c = a.coeffs[k]
+        # A one-term coefficient carries its sign into the joiner.
+        sign = c.terms[0][1] if len(c.terms) == 1 else 1
+        body = _grouped(-c if sign < 0 else c, s)
+        if k:
             dpow = _power(s, s.d, k)
-            pieces.append(dpow if body == "1" else body + s.dmul + dpow)
-    return " + ".join(pieces) or "0"
+            body = dpow if body == "1" else body + s.dmul + dpow
+        pieces.append((sign, body))
+    return _signed_sum(pieces)
 
 
 def psido_text(a: PsiDO) -> str:

@@ -39,18 +39,14 @@ _QX = DiffPoly.jet("q", 1)
 _RX = DiffPoly.jet("r", 1)
 
 
-def _atom(p: DiffPoly) -> DiffPoly:
-    return antiderivative(p)
-
-
 def eigen_image_q() -> DiffPoly:
     """The Lax operator applied to q: q_x + q*I(qr) + r*I(q^2)."""
-    return _QX + _Q * _atom(_R * _Q) + _R * _atom(_Q * _Q)
+    return _QX + _Q * antiderivative(_R * _Q) + _R * antiderivative(_Q * _Q)
 
 
 def eigen_image_r() -> DiffPoly:
     """The Lax operator applied to r: r_x + q*I(r^2) + r*I(qr)."""
-    return _RX + _Q * _atom(_R * _R) + _R * _atom(_Q * _R)
+    return _RX + _Q * antiderivative(_R * _R) + _R * antiderivative(_Q * _R)
 
 
 @dataclass(frozen=True)
@@ -73,9 +69,9 @@ def build_matrix() -> RecursionMatrix:
     lam_r = eigen_image_r()
     lam_star_q = -lam_q
     lam_star_r = -lam_r
-    i_qr = _atom(_Q * _R)
-    i_qq = _atom(_Q * _Q)
-    i_rr = _atom(_R * _R)
+    i_qr = antiderivative(_Q * _R)
+    i_qq = antiderivative(_Q * _Q)
+    i_rr = antiderivative(_R * _R)
 
     r11 = IntDiffOperator(
         (

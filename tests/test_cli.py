@@ -109,6 +109,19 @@ def test_verify_residues_text(capsys):
     assert out.strip().endswith("result: PASS")
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_verify_rejects_latex(capsys, monkeypatch, via_env):
+    argv = ["verify", "residues"]
+    if via_env:
+        monkeypatch.setenv("CCKP_FORMAT", "latex")
+    else:
+        argv += ["--format", "latex"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "text" in err and "json" in err
+
+
 def test_export_lax_json(capsys):
     code, out, _ = run(capsys, "export", "lax", "--format", "json", "--depth", "8")
     assert code == 0

@@ -20,6 +20,7 @@ from cckp.diffring import (
     swap_q_r,
 )
 from cckp.errors import EngineError, NestingTooDeep, OddScaleResidue
+from cckp.grammar import parse_poly, poly_from_json, poly_json, poly_text
 
 from conftest import P, SEED, random_local_poly, random_poly
 
@@ -199,6 +200,23 @@ class TestAntiderivative:
             NonlocalAtom(DiffPoly.zero())
         with pytest.raises(ValueError):
             NonlocalAtom(2 * Q * QX)
+        for bad in (2 * Q ** 2, Q ** 2 + R ** 2, DiffPoly.lam() * Q ** 2):
+            with pytest.raises(ValueError):
+                NonlocalAtom(bad)
+
+    def test_atom_values_round_trip(self):
+        inner = antiderivative(Q * R)
+        nested = antiderivative(Q ** 2 * inner)
+        values = [
+            NonlocalAtom(Q ** 2).as_poly(),
+            NonlocalAtom(Q ** 2 * inner).as_poly(),
+            3 * QX * inner ** 2 - Fraction(1, 2) * nested,
+            DiffPoly.lam(2) * nested * inner + R * antiderivative(R * R),
+        ]
+        assert nested.max_atom_depth() == 2
+        for p in values:
+            assert parse_poly(poly_text(p)) == p
+            assert poly_from_json(poly_json(p)) == p
 
     def test_nesting_limit(self):
         inner = antiderivative(Q * R)
@@ -373,6 +391,21 @@ class TestMemoTables:
         assert local == Q * R * a
         assert d_x(local) + rho == p
 
+    def test_reentered_build_raises_and_leaves_no_state(self, monkeypatch):
+        p = QX * R * antiderivative(Q * R)
+        key = _single_key(p)
+        clear_caches()
+        before = integrate(p)
+        clear_caches()
+        with monkeypatch.context() as m:
+            # A build that asks for its own normal form.
+            m.setattr(diffring, "_split_atom_mono", diffring._nf_atom)
+            with pytest.raises(EngineError):
+                integrate(p)
+        assert key not in diffring._NF_ATOM_CACHE
+        assert not diffring._NF_ATOM_BUILDING
+        assert integrate(p) == before
+
     def test_clear_caches_empties_every_table(self):
         p = Q * R * antiderivative(Q * R) + QX * R * antiderivative(Q * Q)
         before = integrate(p)
@@ -428,7 +461,33 @@ def _fill_atom_cache(top):
     return dict(diffring._NF_ATOM_CACHE)
 
 
+def _leaves(x):
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def _atom_keys(key):
+    """Every atom key inside a monomial key, nested ones included."""
+    for akey, _ in key[1]:
+        yield akey
+        yield from _atom_keys(akey)
+
+
 class TestAtomNormalForms:
+    def test_atom_keys_are_bare_monomial_keys(self):
+        cached = _fill_atom_cache(9)
+        keys = set(cached)
+        for f, rho in cached.values():
+            keys.update(k for k, _ in f.terms + rho.terms)
+        atom_keys = {a for key in keys for a in _atom_keys(key)}
+        assert len(atom_keys) > 10
+        for akey in atom_keys:
+            assert len(akey) == 3 and akey[2] == 0
+            assert all(isinstance(x, (str, int)) for x in _leaves(akey))
+
     def test_split_matches_per_monomial_reference(self):
         cached = _fill_atom_cache(7)
         assert len(cached) > 100

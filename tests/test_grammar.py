@@ -98,7 +98,7 @@ _RENDERERS = {
 }
 
 # Shapes the golden CLI outputs never reach: lam, fractions, atom powers,
-# fractional operator weights, d^-k chains, zero objects, "+ -" in a PsiDO.
+# fractional operator weights, d^-k chains, zero objects, signs in a PsiDO.
 _PINNED = [
     pytest.param(
         P("lam*q - lam^2*u + lam^-1*r"),
@@ -127,16 +127,22 @@ _PINNED = [
     ),
     pytest.param(
         PsiDO({2: P("1"), 0: P("-q")}),
-        "d^2 + -q",
-        r"\partial^{2} + -q",
+        "d^2 - q",
+        r"\partial^{2} - q",
         id="psido-negative",
     ),
     pytest.param(
         PsiDO({1: P("2*q - r"), -1: P("-1/3*q*r"), -2: P("1")}, 3),
-        "(2*q - r)*d + -1/3*q*r*d^-1 + d^-2",
-        r"\left(2 q - r\right)\partial + -\frac{1}{3} q r\partial^{-1}"
+        "(2*q - r)*d - 1/3*q*r*d^-1 + d^-2",
+        r"\left(2 q - r\right)\partial - \frac{1}{3} q r\partial^{-1}"
         r" + \partial^{-2}",
         id="psido-tail",
+    ),
+    pytest.param(
+        PsiDO({2: P("-1"), 0: P("q - r")}),
+        "-d^2 + (q - r)",
+        r"-\partial^{2} + \left(q - r\right)",
+        id="psido-leading-minus",
     ),
     pytest.param(PsiDO.zero(), "0", "0", id="psido-zero"),
     pytest.param(
