@@ -16,6 +16,7 @@ independent computations cancel exactly.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -284,15 +285,6 @@ class DiffPoly:
             tuple((k, c) for k, c in self.terms if not k[0] and not k[1])
         )
 
-    def symbols(self) -> set:
-        out = set()
-        for (jets, atoms, _), _ in self.terms:
-            for (sym, _), _p in jets:
-                out.add(sym)
-            for akey, _p in atoms:
-                out |= DiffPoly.monomial(akey).symbols()
-        return out
-
     def max_atom_depth(self) -> int:
         depth = 0
         for (_, atoms, _), _ in self.terms:
@@ -390,50 +382,6 @@ def d_x(p: DiffPoly, n: int = 1) -> DiffPoly:
 # -- integration -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _order_multisets(count: int, total: int):
-    """Nondecreasing tuples of `count` nonnegative integers summing to `total`."""
-    if count == 0:
-        return ((),) if total == 0 else ()
-    out = []
-
-    def rec(slots, remaining, minimum, acc):
-        if slots == 1:
-            if remaining >= minimum:
-                out.append(tuple(acc) + (remaining,))
-            return
-        for first in range(minimum, remaining + 1):
-            rec(slots - 1, remaining - first, first, acc + [first])
-
-    rec(count, total, 0, [])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _component_jets(symdeg, weight: int):
-    """All sorted jet-factor tuples with given per-symbol degrees and weight."""
-    symdeg = tuple(symdeg)
-    if not symdeg:
-        return ((),) if weight == 0 else ()
-    (sym, deg), rest = symdeg[0], symdeg[1:]
-    out = []
-    for w_here in range(weight + 1):
-        tails = _component_jets(rest, weight - w_here)
-        if not tails:
-            continue
-        for orders in _order_multisets(deg, w_here):
-            factors = []
-            for order in orders:
-                if factors and factors[-1][0] == (sym, order):
-                    factors[-1] = ((sym, order), factors[-1][1] + 1)
-                else:
-                    factors.append(((sym, order), 1))
-            head = tuple(factors)
-            for tail in tails:
-                out.append(tuple(sorted(head + tail)))
-    return tuple(out)
-
-
 class _Reducer:
     """Canonical reduction against the span of d_x images of candidate monomials.
 
@@ -445,7 +393,7 @@ class _Reducer:
     __slots__ = ("pivots",)
 
     def __init__(self, candidate_keys: Iterable):
-        rows = []  # (pivot_key, image dict, preimage dict), priority-desc
+        rows = []  # (pivot_key, image dict, preimage dict), priority-asc
         for ck in sorted(set(candidate_keys), key=_mon_priority, reverse=True):
             img = {k: Fraction(c) for k, c in _dx_key(ck).items()}
             used = {}
@@ -458,7 +406,7 @@ class _Reducer:
             inv = 1 / img[pivot]
             img = {k: c * inv for k, c in img.items()}
             pre = {k: c * inv for k, c in pre.items()}
-            _insort_row(rows, (pivot, img, pre))
+            insort(rows, (pivot, img, pre), key=lambda r: _mon_priority(r[0]))
         self.pivots = rows
 
     def reduce(self, vec: dict):
@@ -468,20 +416,8 @@ class _Reducer:
         return pre_total, work
 
 
-def _insort_row(rows, row) -> None:
-    key = _mon_priority(row[0])
-    lo, hi = 0, len(rows)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _mon_priority(rows[mid][0]) > key:
-            lo = mid + 1
-        else:
-            hi = mid
-    rows.insert(lo, row)
-
-
 def _reduce_against(rows, work: dict, pre_total: dict) -> None:
-    for pivot, img, pre in rows:
+    for pivot, img, pre in reversed(rows):
         c = work.get(pivot)
         if not c:
             continue
@@ -489,23 +425,25 @@ def _reduce_against(rows, work: dict, pre_total: dict) -> None:
         _addto(pre_total, pre.items(), c)
 
 
-@lru_cache(maxsize=None)
-def _local_reducer(symdeg, weight: int, scale: int) -> _Reducer:
-    if weight < 1:
-        return _Reducer(())
-    candidates = [
-        (jets, (), scale) for jets in _component_jets(symdeg, weight - 1)
-    ]
-    return _Reducer(candidates)
-
-
 # Candidate antiderivatives of a single monomial m.  Every monomial V whose
 # derivative contains m is of one of two shapes: m with one jet order lowered,
 # or (m / nu) * I(nu) for a divisor nu of m that is a legal atom integrand
-# (irreducible).  Together with the closure below this makes the per-monomial
-# normal form complete, and since the rules depend on the monomial alone the
-# normal form is globally consistent: independent computations always produce
+# (irreducible).  Closing these rules under d_x makes the per-monomial normal
+# form complete, and since the rules depend on the monomial alone the normal
+# form is globally consistent: independent computations always produce
 # identical atoms, which is what lets them cancel exactly.
+#
+# The one rule also covers local monomials.  A local component (the monomials
+# sharing symbol degrees, weight and lam power) reduces against every monomial
+# of the component one jet order lower: a lowering followed by a raising moves
+# one derivative order between any two factors, so the walk from any member
+# reaches them all.  `_local_reducer` walks from the member that puts every
+# derivative on one factor.
+#
+# An atom normal form needs no second pass over its residual.  Every monomial
+# the walk from m reaches has a closure contained in m's, so a leading
+# monomial of that smaller span is a leading monomial of m's span as well,
+# and the reduction against m's span has already eliminated it.
 
 _WRAP_DEPTH_CAP = 3
 
@@ -543,10 +481,7 @@ def _wrap_divisors(key):
 def _is_reduced_local(key) -> bool:
     """Whether an atom-free monomial survives integration untouched."""
     jets, _, scale = key
-    weight = _jet_weight(jets)
-    if weight < 1:
-        return True
-    reducer = _local_reducer(_jet_symdeg(jets), weight, scale)
+    reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale)
     pre, _res = reducer.reduce({key: Fraction(1)})
     return not pre
 
@@ -580,10 +515,8 @@ def _factor_sub(haystack, needle):
     return tuple(sorted((k, p) for k, p in h.items() if p))
 
 
-_REDUCER_CACHE = {}
-
-
-def _closure_reducer(key) -> _Reducer:
+def _closure_candidates(key) -> set:
+    """The candidates of key and of every monomial their images reach."""
     seen = {key}
     frontier = [key]
     candidates = set()
@@ -600,14 +533,32 @@ def _closure_reducer(key) -> _Reducer:
                         frontier.append(img_key)
             if len(seen) > _CLOSURE_CAP:
                 raise EngineError(
-                    "integration closure exceeded the safety cap"
+                    f"integration closure of {DiffPoly.monomial(key)!r} "
+                    f"reached {len(seen)} monomials, over "
+                    f"diffring._CLOSURE_CAP = {_CLOSURE_CAP}"
                 )
-    cache_key = frozenset(candidates)
-    reducer = _REDUCER_CACHE.get(cache_key)
+    return candidates
+
+
+_REDUCER_CACHE = {}
+
+
+def _closure_reducer(key) -> _Reducer:
+    candidates = frozenset(_closure_candidates(key))
+    reducer = _REDUCER_CACHE.get(candidates)
     if reducer is None:
-        reducer = _Reducer(candidates)
-        _REDUCER_CACHE[cache_key] = reducer
+        reducer = _REDUCER_CACHE[candidates] = _Reducer(candidates)
     return reducer
+
+
+@lru_cache(maxsize=None)
+def _local_reducer(symdeg, weight: int, scale: int) -> _Reducer:
+    """Reducer of the local monomials with these symbol degrees, weight and scale."""
+    jets = tuple(((sym, 0), deg) for sym, deg in symdeg)
+    if weight:
+        bumped = (((symdeg[0][0], weight), 1),)
+        jets = _merge_factors(_drop_one(jets, 0), bumped)
+    return _Reducer(_closure_candidates((jets, (), scale)))
 
 
 _NF_ATOM_BUILDING = set()
@@ -637,15 +588,9 @@ def _nf_atom(key):
 
 
 def _split_atom_mono(key):
-    """Uncached body of `_nf_atom`."""
+    """Uncached body of `_nf_atom`: one reduction against the closure span."""
     pre, res = _closure_reducer(key).reduce({key: Fraction(1)})
-    if key in res:
-        return DiffPoly.zero(), DiffPoly.monomial(key)
-    # The residual can hold monomials that their own closures reduce.
-    # Splitting it again is exact because the split is linear.
-    f_total, rho_total = _split(res.items())
-    _addto(f_total, pre.items())
-    return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
+    return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 
 
 def clear_caches() -> None:
@@ -656,38 +601,8 @@ def clear_caches() -> None:
     """
     _NF_ATOM_CACHE.clear()
     _REDUCER_CACHE.clear()
-    for cached in (
-        _atom_depth,
-        _order_multisets,
-        _component_jets,
-        _local_reducer,
-        _is_reduced_local,
-    ):
+    for cached in (_atom_depth, _local_reducer, _is_reduced_local):
         cached.cache_clear()
-
-
-def _split(items):
-    """Body of `integrate` on (key, coeff) pairs, as two sparse dicts."""
-    f_total = {}
-    rho_total = {}
-    local_groups = {}
-    for key, coeff in items:
-        if key[1]:
-            f_part, rho_part = _nf_atom(key)
-            _addto(f_total, f_part.terms, coeff)
-            _addto(rho_total, rho_part.terms, coeff)
-        else:
-            jets, _, scale = key
-            group = (_jet_symdeg(jets), _jet_weight(jets), scale)
-            local_groups.setdefault(group, {})[key] = coeff
-    for (symdeg, weight, scale), vec in sorted(local_groups.items()):
-        if weight < 1:
-            _addto(rho_total, vec.items())
-            continue
-        pre, res = _local_reducer(symdeg, weight, scale).reduce(vec)
-        _addto(f_total, pre.items())
-        _addto(rho_total, res.items())
-    return f_total, rho_total
 
 
 def integrate(p: DiffPoly):
@@ -699,7 +614,22 @@ def integrate(p: DiffPoly):
     to zero.  The split is linear, and equal monomials resolve identically in
     every context.
     """
-    f_total, rho_total = _split(p.terms)
+    f_total = {}
+    rho_total = {}
+    local_groups = {}
+    for key, coeff in p.terms:
+        if key[1]:
+            f_part, rho_part = _nf_atom(key)
+            _addto(f_total, f_part.terms, coeff)
+            _addto(rho_total, rho_part.terms, coeff)
+        else:
+            jets, _, scale = key
+            group = (_jet_symdeg(jets), _jet_weight(jets), scale)
+            local_groups.setdefault(group, {})[key] = coeff
+    for group, vec in local_groups.items():
+        pre, res = _local_reducer(*group).reduce(vec)
+        _addto(f_total, pre.items())
+        _addto(rho_total, res.items())
     return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
 
 

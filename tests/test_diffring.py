@@ -1,6 +1,7 @@
 """Ring arithmetic, differentiation, and the integration engine."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from cckp.diffring import (
 )
 from cckp.errors import EngineError, NestingTooDeep, OddScaleResidue
 from cckp.grammar import parse_poly, poly_from_json, poly_json, poly_text
+from cckp.hierarchy import flow, lax_power, prolong_flow
+from cckp.psido import residue
 
 from conftest import P, SEED, random_local_poly, random_poly
 
@@ -181,6 +184,74 @@ class TestIntegrate:
         assert checked >= 100
 
 
+def _partial(p, sym, order):
+    """The partial derivative of an atom-free p by the jet variable sym^(order)."""
+    d = {}
+    for (jets, atoms, scale), c in p.terms:
+        for i, (jet, power) in enumerate(jets):
+            if jet == (sym, order):
+                key = (diffring._drop_one(jets, i), atoms, scale)
+                d[key] = d.get(key, 0) + c * power
+    return DiffPoly._from_dict(d)
+
+
+def _euler(p, sym):
+    """The variational derivative E_s(p) = sum_k (-d_x)^k dp/ds^(k)."""
+    top = max(
+        (order for (jets, _, _), _ in p.terms for (s, order), _ in jets if s == sym),
+        default=-1,
+    )
+    out = DiffPoly.zero()
+    for k in range(top + 1):
+        out = out + (-1) ** k * d_x(_partial(p, sym, k), k)
+    return out
+
+
+def _euler_inputs():
+    for n in (1, 3, 5, 7, 9):
+        pair = flow(n)
+        for p in (pair.q_t, pair.r_t):
+            yield p
+            yield d_x(p)
+        yield R * pair.q_t
+    for n in (1, 3, 5, 7):
+        yield residue(lax_power(n))
+    for n in (1, 3, 5):
+        for m in (1, 3, 5):
+            yield prolong_flow(residue(lax_power(n)), m)
+    rng = random.Random(SEED)
+    for _ in range(200):
+        yield random_local_poly(rng, allow_scale=True, symbols=("q", "r", "u"))
+
+
+class TestEulerOperator:
+    """Olver's criterion: a local p is d_x(F) + constant exactly when every
+    variational derivative E_s(p) vanishes.  It knows nothing of candidates
+    or reducers, so it checks the integration engine from outside."""
+
+    def test_euler_operator_kills_total_derivatives(self):
+        for n in (3, 5, 7):
+            for s in ("q", "r", "u"):
+                assert _euler(d_x(flow(n).q_t), s).is_zero
+        assert _euler(Q * R, "q") == R
+        assert _euler(QX * QX, "q") == -2 * DiffPoly.jet("q", 2)
+
+    def test_remainder_keeps_the_variational_derivative(self):
+        exact = inexact = 0
+        for p in _euler_inputs():
+            assert p.is_local
+            local, rho = integrate(p)
+            assert d_x(local) + rho == p
+            euler = {s: _euler(p, s) for s in ("q", "r", "u")}
+            for s in euler:
+                assert _euler(rho, s) == euler[s]
+            is_exact = all(e.is_zero for e in euler.values())
+            assert (rho == p.constant_part()) == is_exact
+            exact += is_exact
+            inexact += not is_exact
+        assert exact > 20 and inexact > 20
+
+
 class TestAntiderivative:
     def test_irreducible_becomes_atom(self):
         rep = antiderivative(Q ** 2)
@@ -339,6 +410,36 @@ def _reference_proper_divisors(key):
     return out
 
 
+def _order_multisets(count, total):
+    """Nondecreasing tuples of `count` nonnegative integers summing to `total`."""
+    if count == 0:
+        return [()] if total == 0 else []
+    if count == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total // count + 1)
+        for rest in _order_multisets(count - 1, total - first)
+        if rest[0] >= first
+    ]
+
+
+def _component_jets(symdeg, weight):
+    """Every sorted jet-factor tuple with these symbol degrees and weight."""
+    if not symdeg:
+        return [()] if weight == 0 else []
+    (sym, deg), rest = symdeg[0], symdeg[1:]
+    out = []
+    for here in range(weight + 1):
+        for orders in _order_multisets(deg, here):
+            head = {}
+            for order in orders:
+                head[(sym, order)] = head.get((sym, order), 0) + 1
+            for tail in _component_jets(rest, weight - here):
+                out.append(tuple(sorted(tuple(head.items()) + tail)))
+    return out
+
+
 def _single_key(p):
     ((key, _),) = p.terms
     return key
@@ -362,6 +463,30 @@ class TestCandidates:
             expected = [nu for nu in reference if nu[0] == key[0]]
             assert diffring._wrap_divisors(key) == expected
 
+    def test_local_reducer_matches_component_enumeration(self):
+        # The closure walk from one member of a local component yields the
+        # same candidates as enumerating the component one order lower.
+        symdegs = (
+            (("q", 1),),
+            (("q", 2),),
+            (("q", 1), ("r", 1)),
+            (("q", 2), ("r", 1)),
+            (("q", 2), ("r", 2)),
+            (("u", 3),),
+            (("q", 3), ("r", 2)),
+        )
+        for symdeg in symdegs:
+            for weight in range(7):
+                for scale in (0, 2, -1):
+                    reference = [
+                        (jets, (), scale)
+                        for jets in _component_jets(symdeg, weight - 1)
+                    ]
+                    reducer = diffring._local_reducer(symdeg, weight, scale)
+                    expected = diffring._Reducer(reference)
+                    assert reducer.pivots == expected.pivots
+                    assert len(reducer.pivots) == len(reference)
+
     def test_cached_local_irreducibility_matches_reducer(self):
         symdegs = ((("q", 2),), (("q", 1), ("r", 1)), (("q", 2), ("r", 1)))
         seen = set()
@@ -369,7 +494,7 @@ class TestCandidates:
             for weight in range(5):
                 for scale in (0, 2):
                     reducer = diffring._local_reducer(symdeg, weight, scale)
-                    for jets in diffring._component_jets(symdeg, weight):
+                    for jets in _component_jets(symdeg, weight):
                         key = (jets, (), scale)
                         pre, _ = reducer.reduce({key: Fraction(1)})
                         expected = weight < 1 or not pre
@@ -390,6 +515,24 @@ class TestMemoTables:
         local, rho = integrate(p)
         assert local == Q * R * a
         assert d_x(local) + rho == p
+
+    def test_cap_error_names_the_closure(self, monkeypatch):
+        p = DiffPoly.jet("q", 2) * RX
+        clear_caches()
+        before = integrate(p)
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "_CLOSURE_CAP", 2)
+            with pytest.raises(EngineError) as err:
+                integrate(p)
+        # The walk over a local component starts from the member that puts
+        # every derivative on one factor.
+        message = str(err.value)
+        assert poly_text(DiffPoly.jet("q", 3) * R) in message
+        assert "diffring._CLOSURE_CAP = 2" in message
+        assert int(re.search(r"reached (\d+) monomials", message)[1]) > 2
+        assert diffring._local_reducer.cache_info().currsize == 0
+        assert integrate(p) == before
 
     def test_reentered_build_raises_and_leaves_no_state(self, monkeypatch):
         p = QX * R * antiderivative(Q * R)
