@@ -370,6 +370,8 @@ def cmd_export(target: str, n, config: RunConfig, out_path=None) -> int:
     render_psido, render_operator = _RENDERERS[fmt]
     if target == "bn" and n is None:
         return _error("export bn needs a flow index")
+    if target == "bn" and (n % 2 == 0 or n <= 0):
+        return _error("flow index must be a positive odd integer")
     try:
         if target == "recursion-matrix":
             mat = recursion.build_matrix()

@@ -16,7 +16,7 @@ independent computations cancel exactly.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -79,6 +79,17 @@ def _drop_one(factors, i):
     if p == 1:
         return factors[:i] + factors[i + 1:]
     return factors[:i] + ((f, p - 1),) + factors[i + 1:]
+
+
+def _shift_order(jets, i, delta):
+    """The sorted jet tuple with one power of factor i moved delta orders."""
+    (sym, order), _ = jets[i]
+    rest = _drop_one(jets, i)
+    jet = (sym, order + delta)
+    j = bisect_left(rest, (jet,))
+    if j < len(rest) and rest[j][0] == jet:
+        return rest[:j] + ((jet, rest[j][1] + 1),) + rest[j + 1:]
+    return rest[:j] + ((jet, 1),) + rest[j:]
 
 
 def _key_mul(k1, k2):
@@ -359,9 +370,8 @@ def _dx_key(key) -> dict:
     """Total x-derivative of a single monic monomial, as a key -> coeff dict."""
     jets, atoms, scale = key
     out = {}
-    for i, ((sym, order), power) in enumerate(jets):
-        bumped = _merge_factors(_drop_one(jets, i), (((sym, order + 1), 1),))
-        nk = (bumped, atoms, scale)
+    for i, (_, power) in enumerate(jets):
+        nk = (_shift_order(jets, i, 1), atoms, scale)
         out[nk] = out.get(nk, 0) + power
     for i, (akey, power) in enumerate(atoms):
         nk = _key_mul((jets, _drop_one(atoms, i), scale), akey)
@@ -433,14 +443,15 @@ def _reduce_against(rows, work: dict, pre_total: dict) -> None:
 # form is globally consistent: independent computations always produce
 # identical atoms, which is what lets them cancel exactly.
 #
-# The one rule also covers local monomials.  A local component (the monomials
-# sharing symbol degrees, weight and lam power) reduces against every monomial
-# of the component one jet order lower: a lowering followed by a raising moves
-# one derivative order between any two factors, so the walk from any member
-# reaches them all.  `_local_reducer` walks from the member that puts every
-# derivative on one factor.
+# Every monomial, local or atom-bearing, has one memoized normal form,
+# `_nf_atom`.  A local monomial's closure is its whole component (the local
+# monomials sharing symbol degrees, weight and lam power) one jet order
+# lower: a lowering followed by a raising (`_shift_order` by -1, then +1)
+# moves one derivative order between any two factors, so the walk from any
+# member reaches them all.  The members share one reducer, `_local_reducer`,
+# walked from the member that puts every derivative on one factor.
 #
-# An atom normal form needs no second pass over its residual.  Every monomial
+# A normal form needs no second pass over its residual.  Every monomial
 # the walk from m reaches has a closure contained in m's, so a leading
 # monomial of that smaller span is a leading monomial of m's span as well,
 # and the reduction against m's span has already eliminated it.
@@ -449,18 +460,8 @@ _WRAP_DEPTH_CAP = 3
 
 _CLOSURE_CAP = 6000
 
+# monomial key -> (d_x preimage, residue), for local keys as well as atom keys
 _NF_ATOM_CACHE = {}
-
-
-def _jet_lower_candidates(key):
-    jets, atoms, scale = key
-    out = []
-    for i, ((sym, order), power) in enumerate(jets):
-        if order < 1:
-            continue
-        lowered = _merge_factors(_drop_one(jets, i), (((sym, order - 1), 1),))
-        out.append((lowered, atoms, scale))
-    return out
 
 
 def _wrap_divisors(key):
@@ -477,27 +478,19 @@ def _wrap_divisors(key):
     return [(jets, a, 0) for a in subs if a != atoms and (jets or a)]
 
 
-@lru_cache(maxsize=None)
-def _is_reduced_local(key) -> bool:
-    """Whether an atom-free monomial survives integration untouched."""
-    jets, _, scale = key
-    reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale)
-    pre, _res = reducer.reduce({key: Fraction(1)})
-    return not pre
-
-
 def _is_reduced_mono(key) -> bool:
     """Whether the monomial survives integration untouched."""
-    if not key[1]:
-        return _is_reduced_local(key)
-    f, _rho = _nf_atom(key)
-    return f.is_zero
+    return _nf_atom(key)[0].is_zero
 
 
 def _candidates_for(key):
-    out = set(_jet_lower_candidates(key))
-    if key[1]:
-        _, atoms, scale = key
+    jets, atoms, scale = key
+    out = {
+        (_shift_order(jets, i, -1), atoms, scale)
+        for i, ((_, order), _) in enumerate(jets)
+        if order
+    }
+    if atoms:
         for nu in _wrap_divisors(key):
             if _atom_depth(nu) > _WRAP_DEPTH_CAP:
                 continue
@@ -556,8 +549,7 @@ def _local_reducer(symdeg, weight: int, scale: int) -> _Reducer:
     """Reducer of the local monomials with these symbol degrees, weight and scale."""
     jets = tuple(((sym, 0), deg) for sym, deg in symdeg)
     if weight:
-        bumped = (((symdeg[0][0], weight), 1),)
-        jets = _merge_factors(_drop_one(jets, 0), bumped)
+        jets = _shift_order(jets, 0, weight)
     return _Reducer(_closure_candidates((jets, (), scale)))
 
 
@@ -565,11 +557,12 @@ _NF_ATOM_BUILDING = set()
 
 
 def _nf_atom(key):
-    """Canonical split of one atom-bearing monomial as (d_x preimage, residue).
+    """Canonical split of one monomial as (d_x preimage, residue).
 
-    Memoized globally; the result depends on the monomial alone, never on the
-    expression it came from.  Only finished results are stored: a build that
-    needs its own result raises `EngineError` instead.
+    Every monomial, local or atom-bearing, is split here.  Memoized globally
+    in `_NF_ATOM_CACHE`; the result depends on the monomial alone, never on
+    the expression it came from.  Only finished results are stored: a build
+    that needs its own result raises `EngineError` instead.
     """
     cached = _NF_ATOM_CACHE.get(key)
     if cached is not None:
@@ -588,8 +581,16 @@ def _nf_atom(key):
 
 
 def _split_atom_mono(key):
-    """Uncached body of `_nf_atom`: one reduction against the closure span."""
-    pre, res = _closure_reducer(key).reduce({key: Fraction(1)})
+    """Uncached body of `_nf_atom`: one reduction against the closure span.
+
+    A local monomial reduces against its component's shared reducer.
+    """
+    jets, atoms, scale = key
+    if atoms:
+        reducer = _closure_reducer(key)
+    else:
+        reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale)
+    pre, res = reducer.reduce({key: Fraction(1)})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 
 
@@ -601,7 +602,7 @@ def clear_caches() -> None:
     """
     _NF_ATOM_CACHE.clear()
     _REDUCER_CACHE.clear()
-    for cached in (_atom_depth, _local_reducer, _is_reduced_local):
+    for cached in (_atom_depth, _local_reducer):
         cached.cache_clear()
 
 
@@ -616,20 +617,10 @@ def integrate(p: DiffPoly):
     """
     f_total = {}
     rho_total = {}
-    local_groups = {}
     for key, coeff in p.terms:
-        if key[1]:
-            f_part, rho_part = _nf_atom(key)
-            _addto(f_total, f_part.terms, coeff)
-            _addto(rho_total, rho_part.terms, coeff)
-        else:
-            jets, _, scale = key
-            group = (_jet_symdeg(jets), _jet_weight(jets), scale)
-            local_groups.setdefault(group, {})[key] = coeff
-    for group, vec in local_groups.items():
-        pre, res = _local_reducer(*group).reduce(vec)
-        _addto(f_total, pre.items())
-        _addto(rho_total, res.items())
+        f_part, rho_part = _nf_atom(key)
+        _addto(f_total, f_part.terms, coeff)
+        _addto(rho_total, rho_part.terms, coeff)
     return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
 
 

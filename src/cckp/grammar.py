@@ -196,6 +196,8 @@ class _Parser:
                 num /= self.tok[1]
                 self.advance()
             power = self._parse_power()
+            if not num and power < 0:
+                raise GrammarError("zero has no negative powers")
             return DiffPoly.const(num ** power)
         if kind == "name" and value in ("q", "r", "u"):
             self.advance()
@@ -236,7 +238,12 @@ class _Parser:
 
 def parse_poly(text: str) -> DiffPoly:
     parser = _Parser(text)
-    out = parser.parse_expr()
+    try:
+        out = parser.parse_expr()
+    except GrammarError:
+        raise
+    except ValueError as exc:
+        raise GrammarError(f"{exc} (before position {parser.pos})") from exc
     if parser.tok != ("end", None):
         raise GrammarError(f"trailing input at position {parser.pos}")
     return out
@@ -276,5 +283,5 @@ def poly_from_json(data: dict) -> DiffPoly:
                 piece = piece * DiffPoly.lam(term["scale"])
             out = out + piece
         return out
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrammarError(f"malformed polynomial JSON: {exc}") from exc

@@ -455,5 +455,5 @@ def operator_from_json(data: dict) -> IntDiffOperator:
                     raise GrammarError(f"unknown chain factor kind {kind!r}")
             out.append((Fraction(entry["weight"]), IntDiffTerm(chain)))
         return IntDiffOperator(out)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrammarError(f"malformed operator JSON: {exc}") from exc

@@ -141,6 +141,14 @@ def test_export_bn_needs_index(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["4", "0", "-1"])
+def test_export_bn_rejects_bad_flow_index(capsys, n):
+    code, out, err = run(capsys, "export", "bn", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: flow index must be a positive odd integer\n"
+
+
 def test_export_recursion_matrix_latex_is_standalone(capsys):
     code, out, _ = run(
         capsys, "export", "recursion-matrix", "--format", "latex"

@@ -440,6 +440,18 @@ def _component_jets(symdeg, weight):
     return out
 
 
+# Symbol-degree patterns of the local components the candidate tests cover.
+_SYMDEGS = (
+    (("q", 1),),
+    (("q", 2),),
+    (("q", 1), ("r", 1)),
+    (("q", 2), ("r", 1)),
+    (("q", 2), ("r", 2)),
+    (("u", 3),),
+    (("q", 3), ("r", 2)),
+)
+
+
 def _single_key(p):
     ((key, _),) = p.terms
     return key
@@ -466,16 +478,7 @@ class TestCandidates:
     def test_local_reducer_matches_component_enumeration(self):
         # The closure walk from one member of a local component yields the
         # same candidates as enumerating the component one order lower.
-        symdegs = (
-            (("q", 1),),
-            (("q", 2),),
-            (("q", 1), ("r", 1)),
-            (("q", 2), ("r", 1)),
-            (("q", 2), ("r", 2)),
-            (("u", 3),),
-            (("q", 3), ("r", 2)),
-        )
-        for symdeg in symdegs:
+        for symdeg in _SYMDEGS:
             for weight in range(7):
                 for scale in (0, 2, -1):
                     reference = [
@@ -498,9 +501,81 @@ class TestCandidates:
                         key = (jets, (), scale)
                         pre, _ = reducer.reduce({key: Fraction(1)})
                         expected = weight < 1 or not pre
-                        assert diffring._is_reduced_local(key) == expected
+                        assert diffring._is_reduced_mono(key) == expected
                         seen.add(expected)
         assert seen == {True, False}
+
+    def test_every_member_walks_to_the_shared_closure(self):
+        # Each member of a local component reaches the candidates of the
+        # member `_local_reducer` starts from, so one reducer serves them all.
+        members = 0
+        for symdeg in _SYMDEGS:
+            head = symdeg[0][0]
+            for weight in range(7):
+                counts = {(sym, 0): deg for sym, deg in symdeg}
+                counts[(head, 0)] -= 1
+                counts[(head, weight)] = counts.get((head, weight), 0) + 1
+                start = tuple(sorted((k, p) for k, p in counts.items() if p))
+                for scale in (0, 2, -1):
+                    shared = diffring._closure_candidates((start, (), scale))
+                    for jets in _component_jets(symdeg, weight):
+                        key = (jets, (), scale)
+                        assert diffring._closure_candidates(key) == shared
+                        members += 1
+        assert members > 900
+
+    def test_shift_order_matches_merge_of_drop(self):
+        rng = random.Random(SEED)
+        for _ in range(300):
+            jets = {}
+            for _ in range(rng.randint(1, 5)):
+                jet = (rng.choice("qru"), rng.randint(0, 5))
+                jets[jet] = jets.get(jet, 0) + rng.randint(1, 3)
+            jets = tuple(sorted(jets.items()))
+            for i, ((sym, order), _) in enumerate(jets):
+                for delta in (1, -1, rng.randint(2, 9)):
+                    if order + delta < 0:
+                        continue
+                    expected = diffring._merge_factors(
+                        diffring._drop_one(jets, i), (((sym, order + delta), 1),)
+                    )
+                    assert diffring._shift_order(jets, i, delta) == expected
+
+
+def _reference_grouped_integrate(p):
+    """The grouped local path: one vector reduction per local component,
+    against the component enumerated one order lower."""
+    groups = {}
+    for key, coeff in p.terms:
+        jets, _, scale = key
+        weight = diffring._jet_weight(jets)
+        groups.setdefault((diffring._jet_symdeg(jets), weight, scale), {})[key] = coeff
+    f_total = {}
+    rho_total = {}
+    for (symdeg, weight, scale), vec in groups.items():
+        lower = _component_jets(symdeg, weight - 1)
+        reducer = diffring._Reducer((jets, (), scale) for jets in lower)
+        pre, res = reducer.reduce(vec)
+        diffring._addto(f_total, pre.items())
+        diffring._addto(rho_total, res.items())
+    return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
+
+
+class TestLocalNormalForms:
+    def test_per_monomial_split_matches_grouped_reduction(self):
+        inputs = []
+        for n in (1, 3, 5, 7, 9):
+            pair = flow(n)
+            for p in (pair.q_t, pair.r_t):
+                inputs += [p, d_x(p)]
+            inputs.append(R * pair.q_t)
+        rng = random.Random(SEED)
+        inputs += [
+            random_local_poly(rng, allow_scale=True, symbols=("q", "r", "u"))
+            for _ in range(200)
+        ]
+        for p in inputs:
+            assert integrate(p) == _reference_grouped_integrate(p)
 
 
 class TestMemoTables:
@@ -559,7 +634,7 @@ class TestMemoTables:
         cached = [
             v for v in vars(diffring).values() if hasattr(v, "cache_info")
         ]
-        assert diffring._is_reduced_local in cached
+        assert diffring._local_reducer in cached
         assert all(f.cache_info().currsize == 0 for f in cached)
         assert integrate(p) == before
 

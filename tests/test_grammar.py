@@ -20,6 +20,7 @@ from cckp.nonlocal_ops import (
     DXINV,
     IntDiffOperator,
     IntDiffTerm,
+    operator_from_json,
     operator_latex,
     operator_text,
     term,
@@ -75,6 +76,20 @@ def test_json_round_trip_randomized():
 def test_json_rejects_garbage():
     with pytest.raises(GrammarError):
         poly_from_json({"nope": []})
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (parse_poly, "0^-1"),
+        (parse_poly, "q^-1"),
+        (poly_from_json, {"terms": [{"coeff": "1/0", "jets": []}]}),
+        (operator_from_json, {"terms": [{"weight": "1/0", "chain": []}]}),
+    ],
+)
+def test_parsers_raise_only_grammar_errors(parse, data):
+    with pytest.raises(GrammarError):
+        parse(data)
 
 
 def test_psido_json_round_trip():
