@@ -109,6 +109,15 @@ def _depth_error(exc: DepthExhausted, config: RunConfig) -> int:
     return _error(f"{exc}; raise --depth (currently {config.depth})")
 
 
+def _flow_index_problem(n: int, config: RunConfig):
+    """Why n is not a usable flow index, or None when it is."""
+    if n % 2 == 0 or n <= 0:
+        return "flow index must be a positive odd integer"
+    if n > config.max_flow:
+        return f"flow index {n} exceeds the configured maximum {config.max_flow}"
+    return None
+
+
 def _latex_document(body: str) -> str:
     return (
         "\\documentclass{article}\n"
@@ -123,12 +132,8 @@ def _latex_document(body: str) -> str:
 
 
 def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
-    if n % 2 == 0 or n <= 0:
-        return _error("flow index must be a positive odd integer")
-    if n > config.max_flow:
-        return _error(
-            f"flow index {n} exceeds the configured maximum {config.max_flow}"
-        )
+    if problem := _flow_index_problem(n, config):
+        return _error(problem)
     try:
         generator = hierarchy.bn(n, config.depth)
         fp = hierarchy.flow(n, config.depth)
@@ -370,8 +375,8 @@ def cmd_export(target: str, n, config: RunConfig, out_path=None) -> int:
     render_psido, render_operator = _RENDERERS[fmt]
     if target == "bn" and n is None:
         return _error("export bn needs a flow index")
-    if target == "bn" and (n % 2 == 0 or n <= 0):
-        return _error("flow index must be a positive odd integer")
+    if target == "bn" and (problem := _flow_index_problem(n, config)):
+        return _error(problem)
     try:
         if target == "recursion-matrix":
             mat = recursion.build_matrix()

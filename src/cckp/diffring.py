@@ -444,12 +444,13 @@ def _reduce_against(rows, work: dict, pre_total: dict) -> None:
 # identical atoms, which is what lets them cancel exactly.
 #
 # Every monomial, local or atom-bearing, has one memoized normal form,
-# `_nf_atom`.  A local monomial's closure is its whole component (the local
-# monomials sharing symbol degrees, weight and lam power) one jet order
-# lower: a lowering followed by a raising (`_shift_order` by -1, then +1)
-# moves one derivative order between any two factors, so the walk from any
-# member reaches them all.  The members share one reducer, `_local_reducer`,
-# walked from the member that puts every derivative on one factor.
+# `_nf_atom`.  A monomial's closure depends only on its class: its symbol
+# degrees, jet weight, lam power and atom multiset.  A lowering followed by
+# a raising (`_shift_order` by -1, then +1) moves one derivative order
+# between any two jet factors and leaves the atoms alone, so the walk from
+# any member reaches the closure of them all.  The members share one
+# reducer, `_local_reducer`, walked from the member that puts every
+# derivative on one factor.
 #
 # A normal form needs no second pass over its residual.  Every monomial
 # the walk from m reaches has a closure contained in m's, so a leading
@@ -536,21 +537,22 @@ def _closure_candidates(key) -> set:
 _REDUCER_CACHE = {}
 
 
-def _closure_reducer(key) -> _Reducer:
-    candidates = frozenset(_closure_candidates(key))
+@lru_cache(maxsize=None)
+def _local_reducer(symdeg, weight: int, scale: int, atoms=()) -> _Reducer:
+    """Reducer of every monomial in one class, local or atom-bearing.
+
+    The class is the monomials with these symbol degrees, jet weight, lam
+    power and atom multiset; their closures coincide.  Classes with equal
+    closures share one reducer through `_REDUCER_CACHE`.
+    """
+    jets = tuple(((sym, 0), deg) for sym, deg in symdeg)
+    if weight:
+        jets = _shift_order(jets, 0, weight)
+    candidates = frozenset(_closure_candidates((jets, atoms, scale)))
     reducer = _REDUCER_CACHE.get(candidates)
     if reducer is None:
         reducer = _REDUCER_CACHE[candidates] = _Reducer(candidates)
     return reducer
-
-
-@lru_cache(maxsize=None)
-def _local_reducer(symdeg, weight: int, scale: int) -> _Reducer:
-    """Reducer of the local monomials with these symbol degrees, weight and scale."""
-    jets = tuple(((sym, 0), deg) for sym, deg in symdeg)
-    if weight:
-        jets = _shift_order(jets, 0, weight)
-    return _Reducer(_closure_candidates((jets, (), scale)))
 
 
 _NF_ATOM_BUILDING = set()
@@ -581,15 +583,9 @@ def _nf_atom(key):
 
 
 def _split_atom_mono(key):
-    """Uncached body of `_nf_atom`: one reduction against the closure span.
-
-    A local monomial reduces against its component's shared reducer.
-    """
+    """Uncached body of `_nf_atom`: one reduction against its class's span."""
     jets, atoms, scale = key
-    if atoms:
-        reducer = _closure_reducer(key)
-    else:
-        reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale)
+    reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale, atoms)
     pre, res = reducer.reduce({key: Fraction(1)})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 

@@ -30,7 +30,7 @@ from .grammar import (
     poly_from_json,
     poly_json,
 )
-from .psido import EXACT_DEPTH, PsiDO, compose
+from .psido import PsiDO, compose
 
 DX = "D"
 DXINV = "Dinv"
@@ -149,14 +149,6 @@ def term(*factors) -> IntDiffTerm:
     return IntDiffTerm(factors)
 
 
-def op(*weighted_terms) -> IntDiffOperator:
-    return IntDiffOperator(weighted_terms)
-
-
-def from_poly(p: DiffPoly) -> IntDiffOperator:
-    return IntDiffOperator(((Fraction(1), IntDiffTerm((p,))),))
-
-
 def _chain_is_zero(chain) -> bool:
     return len(chain) == 1 and _is_mul(chain[0]) and chain[0].is_zero
 
@@ -215,7 +207,7 @@ def expand_term_to_psido(t: IntDiffTerm, depth: int) -> PsiDO:
             acc = piece
         else:
             cap = None
-            if piece.trunc_depth >= EXACT_DEPTH and acc.trunc_depth >= EXACT_DEPTH:
+            if piece.is_exact and acc.is_exact:
                 cap = budget
             acc = compose(piece, acc, cap)
     return acc

@@ -155,14 +155,16 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
     """Operator product via the generalized Leibniz rule.
 
     The result is exact down to the propagated depth
-    ``min(T_a - max(top_b, 0), T_b - max(top_a, 0))``; an explicit `depth`
-    may truncate further but never exceed it.
+    ``min(T_a - max(top_b, 0), T_b - max(top_a, 0))``, and exact outright
+    when both operands are; an explicit `depth` may truncate further but
+    never exceed it.
     """
     if not a.coeffs or not b.coeffs:
         return PsiDO.zero(
             depth if depth is not None else min(a.trunc_depth, b.trunc_depth)
         )
-    prop = min(
+    exact = a.is_exact and b.is_exact
+    prop = EXACT_DEPTH if exact else min(
         a.trunc_depth - max(b.top_order, 0),
         b.trunc_depth - max(a.top_order, 0),
     )
@@ -173,7 +175,7 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
         )
     if depth is None:
         eff = prop
-        if eff >= EXACT_DEPTH // 2 and _would_be_infinite(a, b):
+        if exact and _would_be_infinite(a, b):
             raise DepthExhausted(
                 "composition is an infinite series; pass an explicit depth"
             )
@@ -223,7 +225,7 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
     """Formal adjoint: sum of (-1)^k d^k composed with each coefficient."""
     if depth is None:
         eff = a.trunc_depth
-        if eff >= EXACT_DEPTH // 2 and any(
+        if a.is_exact and any(
             k < 0
             and any(key != ((), (), 0) for key, _ in a.coeffs[k].terms)
             for k in a.coeffs

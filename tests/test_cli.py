@@ -149,6 +149,14 @@ def test_export_bn_rejects_bad_flow_index(capsys, n):
     assert err == "error: flow index must be a positive odd integer\n"
 
 
+def test_export_bn_respects_max_flow(capsys, monkeypatch):
+    monkeypatch.delenv("CCKP_MAX_FLOW", raising=False)
+    code, out, err = run(capsys, "export", "bn", "9", "--depth", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: flow index 9 exceeds the configured maximum 7\n"
+
+
 def test_export_recursion_matrix_latex_is_standalone(capsys):
     code, out, _ = run(
         capsys, "export", "recursion-matrix", "--format", "latex"

@@ -457,6 +457,17 @@ def _single_key(p):
     return key
 
 
+def _class_start(symdeg, weight, atoms, scale):
+    """The member of a class that puts every derivative on its first factor."""
+    counts = {(sym, 0): deg for sym, deg in symdeg}
+    if symdeg:
+        head = symdeg[0][0]
+        counts[(head, 0)] -= 1
+        counts[(head, weight)] = counts.get((head, weight), 0) + 1
+    jets = tuple(sorted((k, p) for k, p in counts.items() if p))
+    return (jets, atoms, scale)
+
+
 class TestCandidates:
     def test_wrap_divisors_match_reference(self):
         a = antiderivative(Q * R)
@@ -506,23 +517,41 @@ class TestCandidates:
         assert seen == {True, False}
 
     def test_every_member_walks_to_the_shared_closure(self):
-        # Each member of a local component reaches the candidates of the
-        # member `_local_reducer` starts from, so one reducer serves them all.
+        # Each member of a class reaches the candidates of the member
+        # `_local_reducer` starts from, so one reducer serves them all.
+        atom_sets = (
+            (),
+            _single_key(antiderivative(Q * R))[1],
+            _single_key(antiderivative(Q * Q) * antiderivative(Q * R))[1],
+        )
         members = 0
-        for symdeg in _SYMDEGS:
-            head = symdeg[0][0]
-            for weight in range(7):
-                counts = {(sym, 0): deg for sym, deg in symdeg}
-                counts[(head, 0)] -= 1
-                counts[(head, weight)] = counts.get((head, weight), 0) + 1
-                start = tuple(sorted((k, p) for k, p in counts.items() if p))
-                for scale in (0, 2, -1):
-                    shared = diffring._closure_candidates((start, (), scale))
-                    for jets in _component_jets(symdeg, weight):
-                        key = (jets, (), scale)
-                        assert diffring._closure_candidates(key) == shared
-                        members += 1
-        assert members > 900
+        for atoms in atom_sets:
+            for symdeg in _SYMDEGS:
+                for weight in range(7):
+                    for scale in (0, 2, -1):
+                        start = _class_start(symdeg, weight, atoms, scale)
+                        shared = diffring._closure_candidates(start)
+                        for jets in _component_jets(symdeg, weight):
+                            key = (jets, atoms, scale)
+                            assert diffring._closure_candidates(key) == shared
+                            members += 1
+        assert members > 2700
+
+    def test_cached_keys_walk_to_their_class_closure(self):
+        # The keys the step chain to t_9 really meets, atoms included.
+        cached = _fill_atom_cache(9)
+        classes = {}
+        for key in cached:
+            jets, atoms, scale = key
+            symdeg = diffring._jet_symdeg(jets)
+            cls = (symdeg, diffring._jet_weight(jets), atoms, scale)
+            classes.setdefault(cls, []).append(key)
+        atom_classes = [cls for cls in classes if cls[2]]
+        assert len(atom_classes) > 100
+        for cls, keys in classes.items():
+            shared = diffring._closure_candidates(_class_start(*cls))
+            for key in keys:
+                assert diffring._closure_candidates(key) == shared
 
     def test_shift_order_matches_merge_of_drop(self):
         rng = random.Random(SEED)
@@ -641,7 +670,8 @@ class TestMemoTables:
 
 def _reference_split_atom_mono(key):
     """The per-monomial loop `_nf_atom` was built on before `_split`."""
-    pre, res = diffring._closure_reducer(key).reduce({key: Fraction(1)})
+    reducer = diffring._Reducer(diffring._closure_candidates(key))
+    pre, res = reducer.reduce({key: Fraction(1)})
     if key in res:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
     f_total = dict(pre)

@@ -186,6 +186,16 @@ def test_residue_and_apply():
         apply(PsiDO.d(-1), Q)
 
 
+def test_exact_operands_compose_exactly():
+    from cckp.hierarchy import bn
+    from cckp.psido import commutator, psido_json
+
+    for out in (compose(bn(3), bn(3)), commutator(bn(3), bn(5))):
+        assert out.is_exact
+        assert psido_json(out)["trunc_depth"] is None
+    assert adjoint(compose(bn(3), bn(5))).is_exact
+
+
 def test_commutator_depth_bookkeeping():
     # Building blocks at depth n + 2 leave at least two trusted tail orders.
     from cckp.hierarchy import bn, lax_operator

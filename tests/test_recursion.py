@@ -101,6 +101,10 @@ class TestStep:
         assert out.q_t == target.q_t
         assert out.r_t == target.r_t
 
+    @pytest.mark.slow
+    def test_step_from_t11_reaches_t13(self):
+        assert step(flow(11)) == flow(13)
+
     def test_swap_equivariance(self):
         # Stepping preserves the swap symmetry of flow pairs...
         for m in (1, 3):
