@@ -12,6 +12,11 @@ and admits no further reduction.  The split is computed as a normal form of
 inputs (and inputs that differ by exact terms) always produce identical
 remainders.  That determinism is what lets antiderivative atoms created in
 independent computations cancel exactly.
+
+Coefficients follow one rule: a coefficient is an ``int`` when it is
+integral and a ``Fraction`` only when it is not.  The reducer's rows are
+integer vectors, so the normal forms are computed without fractions and
+divided once at the end.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import EngineError, NestingTooDeep, OddScaleResidue
@@ -37,11 +43,12 @@ DEFAULT_NESTING_LIMIT = 2
 _EMPTY_KEY = ((), (), 0)
 
 
-def _fr(c) -> Fraction:
+def _fr(c):
+    """A coefficient in canonical form: `int` when integral, else `Fraction`."""
     if isinstance(c, Fraction):
-        return c
+        return c if c.denominator != 1 else c.numerator
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected a rational coefficient, got {type(c).__name__}")
 
 
@@ -165,7 +172,9 @@ class DiffPoly:
 
     @classmethod
     def _from_dict(cls, d) -> "DiffPoly":
-        return cls(tuple(sorted((k, c) for k, c in d.items() if c)))
+        return cls(tuple(sorted(
+            (k, c if c.denominator != 1 else c.numerator) for k, c in d.items() if c
+        )))
 
     @classmethod
     def zero(cls) -> "DiffPoly":
@@ -183,7 +192,7 @@ class DiffPoly:
     @classmethod
     def monomial(cls, key) -> "DiffPoly":
         """The monic one-term polynomial with the given monomial key."""
-        return cls(((key, Fraction(1)),))
+        return cls(((key, 1),))
 
     @classmethod
     def jet(cls, symbol: str, order: int = 0) -> "DiffPoly":
@@ -243,7 +252,11 @@ class DiffPoly:
             c = _fr(other)
             if not c:
                 return _ZERO_POLY
-            return DiffPoly(tuple((k, c * v) for k, v in self.terms))
+            products = ((k, c * v) for k, v in self.terms)
+            return DiffPoly(tuple(
+                (k, p if p.denominator != 1 else p.numerator)
+                for k, p in products
+            ))
         if not isinstance(other, DiffPoly):
             return NotImplemented
         d = {}
@@ -284,11 +297,11 @@ class DiffPoly:
     def local_part(self) -> "DiffPoly":
         return DiffPoly(tuple((k, c) for k, c in self.terms if not k[1]))
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self):
         for k, c in self.terms:
             if k == _EMPTY_KEY:
                 return c
-        return Fraction(0)
+        return 0
 
     def constant_part(self) -> "DiffPoly":
         """Terms in the kernel of d_x: no jets, no atoms, any scale power."""
@@ -398,41 +411,83 @@ class _Reducer:
     Pivot monomials are the leading terms (under `_mon_priority`) of the image
     span, so the residual of `reduce` is the true normal form modulo that span
     and does not depend on the candidate processing order.
+
+    Rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each row
+    ``(pivot, lead, img, pre)`` holds integer dicts with ``d_x(pre) == img``,
+    divided by their content, and a positive ``lead == img[pivot]``.
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self, candidate_keys: Iterable):
-        rows = []  # (pivot_key, image dict, preimage dict), priority-asc
+        rows = []  # (pivot_key, lead, image dict, preimage dict), priority-asc
         for ck in sorted(set(candidate_keys), key=_mon_priority, reverse=True):
-            img = {k: Fraction(c) for k, c in _dx_key(ck).items()}
+            img = _dx_key(ck)
             used = {}
-            _reduce_against(rows, img, used)
+            scale = _reduce_against(rows, img, used)
             if not img:
                 continue
-            pre = {ck: Fraction(1)}
+            pre = {ck: scale}
             _addto(pre, used.items(), -1)
             pivot = max(img, key=_mon_priority)
-            inv = 1 / img[pivot]
-            img = {k: c * inv for k, c in img.items()}
-            pre = {k: c * inv for k, c in pre.items()}
-            insort(rows, (pivot, img, pre), key=lambda r: _mon_priority(r[0]))
+            g = gcd(*img.values(), *pre.values())
+            if img[pivot] < 0:
+                g = -g
+            if g != 1:
+                img = {k: c // g for k, c in img.items()}
+                pre = {k: c // g for k, c in pre.items()}
+            row = (pivot, img[pivot], img, pre)
+            insort(rows, row, key=lambda r: _mon_priority(r[0]))
         self.pivots = rows
 
     def reduce(self, vec: dict):
-        work = dict(vec)
+        """Split vec as (pre, residue) with vec == d_x(pre) + residue.
+
+        Coefficients come back as `int` wherever they are integral.
+        """
+        den = lcm(*(c.denominator for c in vec.values()))
+        work = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
         pre_total = {}
-        _reduce_against(self.pivots, work, pre_total)
-        return pre_total, work
+        den *= _reduce_against(self.pivots, work, pre_total)
+        return _divided(pre_total, den), _divided(work, den)
 
 
-def _reduce_against(rows, work: dict, pre_total: dict) -> None:
-    for pivot, img, pre in reversed(rows):
+def _reduce_against(rows, work: dict, pre_total: dict) -> int:
+    """Eliminate the rows' pivots from the integer vector work, in place.
+
+    Fills the empty dict pre_total and returns the scale s with
+    ``s * (work on entry) == d_x(pre_total) + (work on exit)``.  Both dicts
+    are multiplied only when a pivot's coefficient is not a multiple of its
+    row's lead.
+    """
+    scale = 1
+    for pivot, lead, img, pre in reversed(rows):
         c = work.get(pivot)
         if not c:
             continue
+        g = gcd(lead, c)
+        if g != lead:
+            f = lead // g
+            scale *= f
+            for k in work:
+                work[k] *= f
+            for k in pre_total:
+                pre_total[k] *= f
+        c //= g
         _addto(work, img.items(), -c)
         _addto(pre_total, pre.items(), c)
+    return scale
+
+
+def _divided(vec: dict, den: int) -> dict:
+    """vec / den, keeping `int` where the division is exact."""
+    if den == 1:
+        return vec
+    out = {}
+    for k, c in vec.items():
+        q, rem = divmod(c, den)
+        out[k] = Fraction(c, den) if rem else q
+    return out
 
 
 # Candidate antiderivatives of a single monomial m.  Every monomial V whose
@@ -586,7 +641,7 @@ def _split_atom_mono(key):
     """Uncached body of `_nf_atom`: one reduction against its class's span."""
     jets, atoms, scale = key
     reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale, atoms)
-    pre, res = reducer.reduce({key: Fraction(1)})
+    pre, res = reducer.reduce({key: 1})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 
 

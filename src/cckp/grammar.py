@@ -28,7 +28,7 @@ class _Style(NamedTuple):
 
     jet: Callable[[str, int], str]  # (symbol, derivative order) -> name
     power: str  # template with slots for the base and the exponent
-    coeff: Callable[[Fraction], str]
+    coeff: Callable[[int | Fraction], str]
     atom: str  # template with a slot for the integrand
     lam: str
     d: str
@@ -50,7 +50,7 @@ def _jet_latex(sym: str, order: int) -> str:
     return f"{sym}^{{({order})}}"
 
 
-def _coeff_latex(c: Fraction) -> str:
+def _coeff_latex(c: int | Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"

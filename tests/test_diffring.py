@@ -1,5 +1,6 @@
 """Ring arithmetic, differentiation, and the integration engine."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -65,6 +66,30 @@ class TestArithmetic:
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
+
+
+def _coeff_types(*polys):
+    return {type(c) for p in polys for _, c in p.terms}
+
+
+class TestCoefficientTypes:
+    # int and Fraction compare and hash alike, so equality tests cannot see
+    # an integral coefficient stored as a Fraction.
+    def test_flows_by_both_routes_have_int_coefficients(self):
+        pair = flow(11)
+        assert _coeff_types(pair.q_t, pair.r_t) == {int}
+        pair = flow(1)
+        while pair.m < 11:
+            pair = recursion.step(pair)
+        assert _coeff_types(pair.q_t, pair.r_t) == {int}
+
+    def test_integral_fractions_are_stored_as_int(self):
+        p = 3 * Q * R + RX
+        assert _coeff_types(DiffPoly.const(Fraction(4, 2))) == {int}
+        assert _coeff_types(Fraction(1, 2) * p * 2) == {int}
+        assert _coeff_types(Fraction(1, 2) * RX + Fraction(1, 2) * RX) == {int}
+        assert _coeff_types(Fraction(1, 2) * Q) == {Fraction}
+        assert DiffPoly.zero().constant_term() == 0
 
 
 class TestDerivative:
@@ -569,6 +594,37 @@ class TestCandidates:
                         diffring._drop_one(jets, i), (((sym, order + delta), 1),)
                     )
                     assert diffring._shift_order(jets, i, delta) == expected
+
+
+def _check_reducer_rows(reducer):
+    assert reducer.pivots
+    for pivot, lead, img, pre in reducer.pivots:
+        coeffs = list(img.values()) + list(pre.values())
+        assert {type(c) for c in coeffs} == {int}
+        assert math.gcd(*coeffs) == 1
+        assert lead == img[pivot] > 0
+        assert max(img, key=diffring._mon_priority) == pivot
+        assert d_x(DiffPoly._from_dict(pre)) == DiffPoly._from_dict(img)
+
+
+class TestReducerRows:
+    def test_local_rows_are_integral_and_primitive(self):
+        _check_reducer_rows(diffring._local_reducer((("q", 2), ("r", 1)), 6, 0))
+
+    def test_atom_rows_are_integral_and_primitive(self):
+        atoms = _single_key(antiderivative(Q * R))[1]
+        reducer = diffring._local_reducer((("q", 1), ("r", 1)), 3, 0, atoms)
+        _check_reducer_rows(reducer)
+
+    def test_reduce_returns_int_where_integral(self):
+        reducer = diffring._local_reducer((("q", 1), ("r", 1)), 2, 0)
+        key = (((("q", 2), 1), (("r", 0), 1)), (), 0)
+        for c in (1, Fraction(4, 2), Fraction(1, 3)):
+            pre, res = reducer.reduce({key: c})
+            whole = c * DiffPoly.monomial(key)
+            assert d_x(DiffPoly._from_dict(pre)) + DiffPoly._from_dict(res) == whole
+            expected = {int} if Fraction(c).denominator == 1 else {Fraction}
+            assert {type(v) for v in pre.values()} == expected
 
 
 def _reference_grouped_integrate(p):
