@@ -44,8 +44,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_flow % 2 == 0 or self.max_flow <= 0:
             raise ValueError("max flow index must be a positive odd integer")
-        if self.depth < self.max_flow + 1:
-            raise ValueError("depth must be at least max flow index + 1")
+        if self.depth < 1:
+            raise ValueError("depth must be at least 1")
         if self.output_format not in ("text", "latex", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -166,6 +166,16 @@ def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
 
 
 # -- verify -----------------------------------------------------------------------
+#
+# Each suite yields its checks in order.  --max-flow sets every range: the
+# step, Lax, identity and residue checks run at odd indices up to
+# max_flow - 2 (a step's image is t_(max_flow)), and the reduced steps start
+# from odd indices up to max_flow - 4.
+
+
+def _odd(first: int, last: int) -> range:
+    """The odd flow indices from `first` to `last`, both included."""
+    return range(first, last + 1, 2)
 
 
 def _report(name: str, lhs: DiffPoly, rhs: DiffPoly) -> CheckReport:
@@ -181,43 +191,36 @@ def _literal_report(name: str, label: str, got, literal) -> CheckReport:
 
 
 def _suite_skew(config: RunConfig):
-    return [hierarchy.check_skew(config.depth)]
+    yield hierarchy.check_skew(config.depth)
 
 
 def _suite_lax(config: RunConfig):
-    return [hierarchy.check_lax(3, 2), hierarchy.check_lax(5, 2)]
+    for n in _odd(3, config.max_flow - 2):
+        yield hierarchy.check_lax(n, 2)
+
+
+def _flow_reports(name: str, got, want):
+    yield _report(f"{name} (q)", got.q_t, want.q_t)
+    yield _report(f"{name} (r)", got.r_t, want.r_t)
 
 
 def _suite_recursion(config: RunConfig):
-    out = []
     limit = config.atom_nesting_limit
-    step1 = recursion.step(hierarchy.flow(1), nesting_limit=limit)
-    f3 = hierarchy.flow(3)
-    out.append(_report("step t_1 -> t_3 (q)", step1.q_t, f3.q_t))
-    out.append(_report("step t_1 -> t_3 (r)", step1.r_t, f3.r_t))
-    step3 = recursion.step(f3, nesting_limit=limit)
-    f5 = hierarchy.flow(5)
-    out.append(_report("step t_3 -> t_5 (q)", step3.q_t, f5.q_t))
-    out.append(_report("step t_3 -> t_5 (r)", step3.r_t, f5.r_t))
-    two = recursion.step(step1, nesting_limit=limit)
-    out.append(_report("two-step t_1 -> t_5 (q)", two.q_t, f5.q_t))
-    out.append(_report("two-step t_1 -> t_5 (r)", two.r_t, f5.r_t))
-    step5 = recursion.step(f5, nesting_limit=limit)
-    f7 = hierarchy.flow(7)
-    out.append(_report("step t_5 -> t_7 (q)", step5.q_t, f7.q_t))
-    out.append(_report("step t_5 -> t_7 (r)", step5.r_t, f7.r_t))
-    return out
+    stepped = {}
+    for m in _odd(1, config.max_flow - 2):
+        stepped[m] = recursion.step(hierarchy.flow(m), nesting_limit=limit)
+        target = hierarchy.flow(m + 2)
+        name = f"step t_{m} -> t_{m + 2}"
+        yield from _flow_reports(name, stepped[m], target)
+        if m == 3:
+            two = recursion.step(stepped[1], nesting_limit=limit)
+            yield from _flow_reports("two-step t_1 -> t_5", two, target)
 
 
 def _suite_identities(config: RunConfig):
-    probes = (
-        DiffPoly.jet("q"),
-        DiffPoly.jet("r"),
-        DiffPoly.jet("q") * DiffPoly.jet("r"),
-        DiffPoly.jet("q", 1),
-    )
-    out = []
-    for n in (1, 3, 5):
+    q, r = DiffPoly.jet("q"), DiffPoly.jet("r")
+    probes = (q, r, q * r, DiffPoly.jet("q", 1))
+    for n in _odd(1, config.max_flow - 2):
         collected = [
             (f"f={f!r}, g={g!r}: {label}", diff)
             for f in probes
@@ -226,77 +229,67 @@ def _suite_identities(config: RunConfig):
                 n, f, g, depth=4
             ).residuals
         ]
-        out.append(CheckReport.of(f"recursion-identities t_{n}", collected))
-    return out
+        yield CheckReport.of(f"recursion-identities t_{n}", collected)
 
 
 def _suite_residues(config: RunConfig):
-    return [hierarchy.check_residue_coefficients(m) for m in (1, 3, 5)]
+    for m in _odd(1, config.max_flow - 2):
+        yield hierarchy.check_residue_coefficients(m)
+
+
+# Scaled-flow labels; an order past these is named by its flow index.
+_ORDINALS = {3: "third", 5: "fifth", 7: "seventh", 9: "ninth", 11: "eleventh"}
 
 
 def _suite_reduction(config: RunConfig):
-    out = []
+    limit = config.atom_nesting_limit
     reduced = recursion.reduce_matrix()
     literal = recursion.mkdv_recursion_literal()
-    out.append(
-        _literal_report(
-            "reduced operator literal form", "reduced form", reduced, literal
-        )
+    yield _literal_report(
+        "reduced operator literal form", "reduced form", reduced, literal
     )
-    out.append(
-        CheckReport.of(
-            "reduced operator series (depth 6)",
-            by_order(
-                residuals(
-                    expand_to_psido(reduced, 6), expand_to_psido(literal, 6), 6
-                )
-            ),
-        )
-    )
-    qx = DiffPoly.jet("q", 1)
-    mkdv3 = substitute_r_to_q(hierarchy.flow(3).q_t)
-    mkdv5 = substitute_r_to_q(hierarchy.flow(5).q_t)
-    out.append(_report("reduced step t_1 -> t_3", nl_apply(reduced, qx), mkdv3))
-    out.append(
-        _report("reduced step t_3 -> t_5", nl_apply(reduced, mkdv3), mkdv5)
-    )
-    for m in (1, 3):
-        fp = hierarchy.flow(m)
-        stepped = recursion.step(fp, nesting_limit=config.atom_nesting_limit)
-        out.append(
-            _report(
-                f"reduction commutes with step at t_{m}",
-                substitute_r_to_q(stepped.q_t),
-                nl_apply(reduced, substitute_r_to_q(fp.q_t)),
+    yield CheckReport.of(
+        "reduced operator series (depth 6)",
+        by_order(
+            residuals(
+                expand_to_psido(reduced, 6), expand_to_psido(literal, 6), 6
             )
+        ),
+    )
+    sources = _odd(1, config.max_flow - 4)
+    # The mKdV flows: the q component of each t_n flow under q = r.
+    mkdv = {
+        n: substitute_r_to_q(hierarchy.flow(n).q_t)
+        for n in _odd(1, config.max_flow - 2)
+    }
+    images = {m: nl_apply(reduced, mkdv[m], limit) for m in sources}
+    for m in sources:
+        yield _report(
+            f"reduced step t_{m} -> t_{m + 2}", images[m], mkdv[m + 2]
         )
-    scaled = recursion.scaled_mkdv_operator()
+    for m in sources:
+        stepped = recursion.step(hierarchy.flow(m), nesting_limit=limit)
+        yield _report(
+            f"reduction commutes with step at t_{m}",
+            substitute_r_to_q(stepped.q_t),
+            images[m],
+        )
     scaled_literal = recursion.scaled_mkdv_literal()
-    out.append(
-        _literal_report(
-            "scaled operator literal form",
-            "scaled form",
-            scaled,
-            scaled_literal,
-        )
+    yield _literal_report(
+        "scaled operator literal form",
+        "scaled form",
+        recursion.scaled_mkdv_operator(),
+        scaled_literal,
     )
     lam_sq = Fraction(1, 12)
-    out.append(
-        _report(
-            "scaled third-order flow",
-            scale_substitute(mkdv3, lam_sq),
-            nl_apply(scaled_literal, DiffPoly.jet("u", 1)),
+    for m in sources:
+        n = m + 2
+        word = _ORDINALS.get(n, f"t_{n}")
+        yield _report(
+            f"scaled {word}-order flow",
+            scale_substitute(mkdv[n], lam_sq),
+            nl_apply(scaled_literal, scale_substitute(mkdv[m], lam_sq), limit),
         )
-    )
-    u_mkdv3 = scale_substitute(mkdv3, lam_sq)
-    out.append(
-        _report(
-            "scaled fifth-order flow",
-            scale_substitute(mkdv5, lam_sq),
-            nl_apply(scaled_literal, u_mkdv3),
-        )
-    )
-    return out
 
 
 _SUITE_RUNNERS = {
@@ -313,10 +306,7 @@ SUITES = ("all", *_SUITE_RUNNERS)
 
 def run_suite(suite: str, config: RunConfig):
     names = tuple(_SUITE_RUNNERS) if suite == "all" else (suite,)
-    checks = []
-    for name in names:
-        checks.extend(_SUITE_RUNNERS[name](config))
-    return checks
+    return [check for name in names for check in _SUITE_RUNNERS[name](config)]
 
 
 def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
@@ -326,6 +316,11 @@ def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
         checks = run_suite(suite, config)
     except EngineError as exc:
         return _error(str(exc))
+    if not checks:
+        return _error(
+            f"suite {suite!r} has no check up to t_{config.max_flow}; "
+            "raise --max-flow"
+        )
     passed = all(c.passed for c in checks)
     if config.output_format == "json":
         payload = {

@@ -294,9 +294,6 @@ class DiffPoly:
     def atom_part(self) -> "DiffPoly":
         return DiffPoly(tuple((k, c) for k, c in self.terms if k[1]))
 
-    def local_part(self) -> "DiffPoly":
-        return DiffPoly(tuple((k, c) for k, c in self.terms if not k[1]))
-
     def constant_term(self):
         for k, c in self.terms:
             if k == _EMPTY_KEY:
@@ -308,13 +305,6 @@ class DiffPoly:
         return DiffPoly(
             tuple((k, c) for k, c in self.terms if not k[0] and not k[1])
         )
-
-    def max_atom_depth(self) -> int:
-        depth = 0
-        for (_, atoms, _), _ in self.terms:
-            for akey, _p in atoms:
-                depth = max(depth, _atom_depth(akey))
-        return depth
 
     def display_terms(self):
         return sorted(self.terms, key=_display_key)
@@ -362,9 +352,6 @@ class NonlocalAtom:
     @property
     def depth(self) -> int:
         return _atom_depth(self.key)
-
-    def as_poly(self) -> DiffPoly:
-        return DiffPoly.monomial(((), ((self.key, 1),), 0))
 
     def __eq__(self, other):
         return isinstance(other, NonlocalAtom) and self.key == other.key
@@ -840,7 +827,8 @@ def shift_lambda(p: DiffPoly, shift: int) -> DiffPoly:
 
 def resolve_lambda(p: DiffPoly, lambda_sq) -> DiffPoly:
     """Replace lam^2 by the given rational; any odd residual exponent errors."""
-    lambda_sq = _fr(lambda_sq)
+    # A Fraction, so that a negative power stays exact (int ** -1 is a float).
+    lambda_sq = Fraction(_fr(lambda_sq))
     d = {}
     for (jets, atoms, scale), c in p.terms:
         if scale % 2:

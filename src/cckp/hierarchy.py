@@ -52,16 +52,6 @@ def _lax_tail(i: int) -> DiffPoly:
 
 
 @lru_cache(maxsize=None)
-def lax_operator(depth: int) -> PsiDO:
-    """d + q d^-1 r + r d^-1 q, with the integral tail expanded to `depth`."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    coeffs = {-i: _lax_tail(i) for i in range(1, depth + 1)}
-    coeffs[1] = DiffPoly.one()
-    return PsiDO(coeffs, depth)
-
-
-@lru_cache(maxsize=None)
 def _power_coeff(k: int, j: int) -> DiffPoly:
     """Coefficient of d^j in L^k, exact: L^k = L o L^(k-1), L^0 = 1.
 
@@ -107,6 +97,11 @@ def lax_power(n: int, depth: int | None = None) -> PsiDO:
     return PsiDO({j: _power_coeff(n, j) for j in range(-eff, n + 1)}, eff)
 
 
+def lax_operator(depth: int) -> PsiDO:
+    """d + q d^-1 r + r d^-1 q, with the integral tail expanded to `depth`."""
+    return lax_power(1, depth)
+
+
 def bn(n: int, depth: int | None = None) -> PsiDO:
     """The flow generator: differential part of L^n."""
     if n <= 0 or n % 2 == 0:
@@ -131,7 +126,7 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    for cached in (lax_operator, _lax_tail, _power_coeff, _power_deriv, flow):
+    for cached in (_lax_tail, _power_coeff, _power_deriv, flow):
         cached.cache_clear()
     diffring.clear_caches()
 
@@ -154,9 +149,6 @@ class CheckReport:
         """A report on (label, residual) pairs; it passes if there are none."""
         residuals = tuple(residuals)
         return cls(name, not residuals, residuals)
-
-    def residual_lines(self):
-        return [f"{label}: {poly!r}" for label, poly in self.residuals]
 
 
 def by_order(res: dict, prefix: str = "") -> list:

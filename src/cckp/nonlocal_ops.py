@@ -15,6 +15,7 @@ from typing import Iterable
 from .diffring import (
     DEFAULT_NESTING_LIMIT,
     DiffPoly,
+    _fr,
     antiderivative,
     d_x,
     substitute_r_to_q as poly_substitute_r_to_q,
@@ -96,12 +97,12 @@ class IntDiffOperator:
     def __init__(self, terms: Iterable = ()):
         merged = {}
         for weight, term in terms:
-            weight = Fraction(weight)
+            weight = _fr(weight)
             if not isinstance(term, IntDiffTerm):
                 term = IntDiffTerm(term)
             key = _chain_key(term.chain)
             if key in merged:
-                merged[key] = (merged[key][0] + weight, term)
+                merged[key] = (_fr(merged[key][0] + weight), term)
             else:
                 merged[key] = (weight, term)
         self.terms = tuple(
@@ -140,9 +141,6 @@ class IntDiffOperator:
 
     def __repr__(self):
         return operator_text(self)
-
-    def __call__(self, f: DiffPoly, nesting_limit: int = DEFAULT_NESTING_LIMIT):
-        return apply(self, f, nesting_limit)
 
 
 def term(*factors) -> IntDiffTerm:
@@ -401,10 +399,6 @@ def _render(operator: IntDiffOperator, s) -> str:
 
 def term_text(t: IntDiffTerm) -> str:
     return _render_term(t, TEXT)
-
-
-def term_latex(t: IntDiffTerm) -> str:
-    return _render_term(t, LATEX)
 
 
 def operator_text(operator: IntDiffOperator) -> str:

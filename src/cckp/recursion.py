@@ -11,6 +11,7 @@ from . import hierarchy
 from .diffring import (
     DEFAULT_NESTING_LIMIT,
     DiffPoly,
+    _fr,
     antiderivative,
     scale_q_to_u,
     shift_lambda,
@@ -188,7 +189,8 @@ def scale_operator(
     collected along a chain must sum to an even number, which holds exactly
     when every term of the operator has even total degree in q.
     """
-    lambda_sq = Fraction(lambda_sq)
+    # A Fraction, so that a negative power stays exact (int ** -1 is a float).
+    lambda_sq = Fraction(_fr(lambda_sq))
     out = []
     for weight, t in operator.terms:
         new_chain = []

@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, determinism, env precedence."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No CCKP_* variable from the calling shell reaches the command."""
+    for var in ("DEPTH", "MAX_FLOW", "FORMAT", "NESTING_LIMIT"):
+        monkeypatch.delenv(f"CCKP_{var}", raising=False)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(max_flow=4)
     with pytest.raises(ValueError):
-        RunConfig(depth=5, max_flow=7)
+        RunConfig(depth=0)
     with pytest.raises(ValueError):
         RunConfig(output_format="html")
 
@@ -77,7 +86,7 @@ def test_deterministic_output(capsys):
 
 
 def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("CCKP_DEPTH", "3")
+    monkeypatch.setenv("CCKP_DEPTH", "2")
     code, _, err = run(capsys, "derive", "3")
     assert code == 2
     assert "depth" in err
@@ -120,6 +129,78 @@ def test_verify_rejects_latex(capsys, monkeypatch, via_env):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "text" in err and "json" in err
+
+
+def _verify_json(capsys, *argv):
+    """Run `verify ... --format json`; its payload and its check names."""
+    code, out, err = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    return payload, [c["name"] for c in payload["checks"]]
+
+
+def _flow_indices(names):
+    return {int(k) for name in names for k in re.findall(r"t_(\d+)", name)}
+
+
+@pytest.mark.parametrize(
+    "max_flow, expected",
+    [
+        pytest.param(
+            9,
+            (
+                "lax-equation t_7",
+                "step t_7 -> t_9 (q)",
+                "recursion-identities t_7",
+                "residue-coefficients t_7",
+                "reduced step t_5 -> t_7",
+                "reduction commutes with step at t_5",
+            ),
+            id="9",
+        ),
+        pytest.param(
+            11,
+            (
+                "lax-equation t_9",
+                "step t_9 -> t_11 (r)",
+                "recursion-identities t_9",
+                "residue-coefficients t_9",
+                "reduced step t_7 -> t_9",
+                "scaled ninth-order flow",
+            ),
+            id="11",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_verify_max_flow_sets_every_range(
+    capsys, clean_env, max_flow, expected
+):
+    payload, names = _verify_json(capsys, "all", "--max-flow", str(max_flow))
+    assert payload["passed"] is True
+    assert payload["config"]["max_flow"] == max_flow
+    assert set(expected) <= set(names)
+    assert max(_flow_indices(names)) == max_flow
+
+
+def test_verify_max_flow_1_runs_below_t_3(capsys, clean_env):
+    payload, names = _verify_json(capsys, "all", "--max-flow", "1")
+    assert payload["passed"] is True
+    assert "skew-adjointness" in names
+    assert _flow_indices(names) <= {1}
+
+
+@pytest.mark.parametrize(
+    "suite, max_flow",
+    [("lax", "3"), ("recursion", "1"), ("identities", "1"), ("residues", "1")],
+)
+def test_verify_empty_range_is_a_usage_error(
+    capsys, clean_env, suite, max_flow
+):
+    code, out, err = run(capsys, "verify", suite, "--max-flow", max_flow)
+    assert code == 2
+    assert out == ""
+    assert "--max-flow" in err
 
 
 def test_export_lax_json(capsys):
@@ -215,11 +296,36 @@ _GOLDEN_CASES = (
 @pytest.mark.parametrize(
     "name, argv", _GOLDEN_CASES, ids=[name for name, _ in _GOLDEN_CASES]
 )
-def test_golden_output(capsys, monkeypatch, name, argv):
+def test_golden_output(capsys, clean_env, name, argv):
     """stdout matches the recorded output byte for byte."""
-    for var in ("DEPTH", "MAX_FLOW", "FORMAT", "NESTING_LIMIT"):
-        monkeypatch.delenv(f"CCKP_{var}", raising=False)
     fmt = name.rsplit(".", 1)[1]
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_commands():
+    """Each command line of the `sh` block in the README's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.strip()
+    ]
+
+
+_README_COMMANDS = _readme_cli_commands()
+
+
+@pytest.mark.parametrize(
+    "argv", _README_COMMANDS, ids=[" ".join(a[1:]) for a in _README_COMMANDS]
+)
+def test_readme_cli_example(capsys, clean_env, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert argv[0] == "cckp"
+    code, _, err = run(capsys, *argv[1:])
+    assert code == 0, err

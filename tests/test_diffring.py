@@ -280,7 +280,9 @@ class TestEulerOperator:
 class TestAntiderivative:
     def test_irreducible_becomes_atom(self):
         rep = antiderivative(Q ** 2)
-        assert rep == NonlocalAtom(Q ** 2).as_poly()
+        assert rep.atom_part() == rep
+        assert poly_text(rep) == "I(q^2)"
+        assert d_x(rep) == Q ** 2
 
     def test_mixed(self):
         rep = antiderivative(2 * Q * QX + Q * R)
@@ -304,12 +306,13 @@ class TestAntiderivative:
         inner = antiderivative(Q * R)
         nested = antiderivative(Q ** 2 * inner)
         values = [
-            NonlocalAtom(Q ** 2).as_poly(),
-            NonlocalAtom(Q ** 2 * inner).as_poly(),
+            antiderivative(Q ** 2),
+            nested,
             3 * QX * inner ** 2 - Fraction(1, 2) * nested,
             DiffPoly.lam(2) * nested * inner + R * antiderivative(R * R),
         ]
-        assert nested.max_atom_depth() == 2
+        assert poly_text(nested) == "I(q^2*I(q*r))"
+        assert NonlocalAtom(Q ** 2 * inner).depth == 2
         for p in values:
             assert parse_poly(poly_text(p)) == p
             assert poly_from_json(poly_json(p)) == p
@@ -318,7 +321,8 @@ class TestAntiderivative:
         inner = antiderivative(Q * R)
         # q^2 * I(qr) is irreducible, so its antiderivative nests once more.
         nested = antiderivative(Q ** 2 * inner)
-        assert nested.max_atom_depth() == 2
+        assert nested.atom_part() == nested
+        assert NonlocalAtom(Q ** 2 * inner).depth == 2
         with pytest.raises(NestingTooDeep):
             antiderivative(Q ** 2 * inner, nesting_limit=1)
 
@@ -376,7 +380,7 @@ class TestSubstitutions:
     def test_atom_resolution(self):
         # I(q*r') resolves to a local expression once r becomes q.
         atom = antiderivative(Q * RX)
-        assert atom.local_part().is_zero
+        assert atom.atom_part() == atom
         assert substitute_r_to_q(atom) == Fraction(1, 2) * Q ** 2
 
     def test_swap_is_involution_randomized(self):
@@ -406,6 +410,11 @@ class TestScale:
     def test_odd_residue_rejected(self):
         with pytest.raises(OddScaleResidue):
             scale_substitute(Q ** 2, Fraction(1, 12))
+
+    def test_negative_scale_power_with_integer_lambda_sq(self):
+        # lam^-4 q -> lam^-4 u after dividing by lam, so (lam^2)^-2 = 1/16.
+        out = scale_substitute(DiffPoly.lam(-4) * Q, 4)
+        assert out == Fraction(1, 16) * DiffPoly.jet("u")
 
     def test_r_rejected(self):
         with pytest.raises(OddScaleResidue):

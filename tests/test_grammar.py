@@ -24,8 +24,6 @@ from cckp.nonlocal_ops import (
     operator_latex,
     operator_text,
     term,
-    term_latex,
-    term_text,
 )
 from cckp.psido import PsiDO, psido_from_json, psido_json, psido_latex, psido_text
 
@@ -108,7 +106,6 @@ def test_latex_shapes():
 _RENDERERS = {
     DiffPoly: (poly_text, poly_latex),
     PsiDO: (psido_text, psido_latex),
-    IntDiffTerm: (term_text, term_latex),
     IntDiffOperator: (operator_text, operator_latex),
 }
 
@@ -161,7 +158,9 @@ _PINNED = [
     ),
     pytest.param(PsiDO.zero(), "0", "0", id="psido-zero"),
     pytest.param(
-        term(DXINV, DXINV, P("q"), DX, DX, DX, P("q + r")),
+        IntDiffOperator(
+            ((1, term(DXINV, DXINV, P("q"), DX, DX, DX, P("q + r"))),)
+        ),
         "d^-2 q d^3 (q + r)",
         r"\partial^{-2} q \partial^{3} \left(q + r\right)",
         id="term-runs",

@@ -47,6 +47,21 @@ def test_operator_merges_identical_chains():
     assert op.terms[0][0] == Fraction(5)
 
 
+def test_weights_are_exact():
+    # A float weight is rejected, not stored as a binary fraction.
+    with pytest.raises(TypeError):
+        IntDiffOperator(((0.1, term(DX)),))
+    # Integral weights are stored as int, also when a merge makes them so.
+    op = IntDiffOperator(
+        (
+            (Fraction(4, 2), term(DX)),
+            (Fraction(1, 2), term(Q)),
+            (Fraction(1, 2), term(Q)),
+        )
+    )
+    assert [type(w) for w, _ in op.terms] == [int, int]
+
+
 def test_apply_differential_chain():
     op = IntDiffOperator(((1, term(DX, DX)),))
     assert apply(op, Q) == d_x(Q, 2)

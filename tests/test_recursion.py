@@ -196,6 +196,19 @@ class TestScaling:
         u = DiffPoly.jet("u")
         assert scaled == IntDiffOperator(((Fraction(2, 3), term(u * u)),))
 
+    def test_negative_scale_power_with_integer_lambda_sq(self):
+        # The payload lam^-4 q^2 becomes u^2 and leaves (lam^2)^-1 = 1/4.
+        op = IntDiffOperator(((1, term(DiffPoly.lam(-4) * Q * Q)),))
+        u = DiffPoly.jet("u")
+        assert scale_operator(op, 4) == IntDiffOperator(
+            ((Fraction(1, 4), term(u * u)),)
+        )
+
+    def test_float_scale_is_rejected(self):
+        # 1/12 as a float is a binary fraction; only exact rationals scale.
+        with pytest.raises(TypeError):
+            scale_operator(reduce_matrix(), 1 / 12)
+
     def test_scaled_flows(self):
         lam_sq = Fraction(1, 12)
         third = substitute_r_to_q(flow(3).q_t)
@@ -227,7 +240,7 @@ class TestScaling:
 class TestOperatorIdentities:
     def test_single_leibniz_step(self):
         report = verify_aratyn_identities(1, Q, R)
-        assert report.passed, report.residual_lines()
+        assert report.passed, report.residuals
 
     @pytest.mark.parametrize("m", (1, 3, 5))
     def test_adjoint_eigenfunction_expansion(self, m):
@@ -256,4 +269,4 @@ class TestOperatorIdentities:
         for f in probes:
             for g in probes:
                 report = verify_aratyn_identities(n, f, g, depth=4)
-                assert report.passed, (n, f, g, report.residual_lines()[:3])
+                assert report.passed, (n, f, g, report.residuals[:3])
