@@ -170,7 +170,8 @@ def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
 # Each suite yields its checks in order.  --max-flow sets every range: the
 # step, Lax, identity and residue checks run at odd indices up to
 # max_flow - 2 (a step's image is t_(max_flow)), and the reduced steps start
-# from odd indices up to max_flow - 4.
+# from odd indices up to max_flow - 4.  The suites of one run share one
+# table of steps, `steps`, so each flow is stepped once.
 
 
 def _odd(first: int, last: int) -> range:
@@ -190,11 +191,20 @@ def _literal_report(name: str, label: str, got, literal) -> CheckReport:
     )
 
 
-def _suite_skew(config: RunConfig):
+def _step_of(steps: dict, m: int, config: RunConfig):
+    """step(flow(m)), computed once per run."""
+    if m not in steps:
+        steps[m] = recursion.step(
+            hierarchy.flow(m), nesting_limit=config.atom_nesting_limit
+        )
+    return steps[m]
+
+
+def _suite_skew(config: RunConfig, steps: dict):
     yield hierarchy.check_skew(config.depth)
 
 
-def _suite_lax(config: RunConfig):
+def _suite_lax(config: RunConfig, steps: dict):
     for n in _odd(3, config.max_flow - 2):
         yield hierarchy.check_lax(n, 2)
 
@@ -204,20 +214,19 @@ def _flow_reports(name: str, got, want):
     yield _report(f"{name} (r)", got.r_t, want.r_t)
 
 
-def _suite_recursion(config: RunConfig):
-    limit = config.atom_nesting_limit
-    stepped = {}
+def _suite_recursion(config: RunConfig, steps: dict):
     for m in _odd(1, config.max_flow - 2):
-        stepped[m] = recursion.step(hierarchy.flow(m), nesting_limit=limit)
         target = hierarchy.flow(m + 2)
         name = f"step t_{m} -> t_{m + 2}"
-        yield from _flow_reports(name, stepped[m], target)
+        yield from _flow_reports(name, _step_of(steps, m, config), target)
         if m == 3:
-            two = recursion.step(stepped[1], nesting_limit=limit)
+            two = recursion.step(
+                steps[1], nesting_limit=config.atom_nesting_limit
+            )
             yield from _flow_reports("two-step t_1 -> t_5", two, target)
 
 
-def _suite_identities(config: RunConfig):
+def _suite_identities(config: RunConfig, steps: dict):
     q, r = DiffPoly.jet("q"), DiffPoly.jet("r")
     probes = (q, r, q * r, DiffPoly.jet("q", 1))
     for n in _odd(1, config.max_flow - 2):
@@ -232,7 +241,7 @@ def _suite_identities(config: RunConfig):
         yield CheckReport.of(f"recursion-identities t_{n}", collected)
 
 
-def _suite_residues(config: RunConfig):
+def _suite_residues(config: RunConfig, steps: dict):
     for m in _odd(1, config.max_flow - 2):
         yield hierarchy.check_residue_coefficients(m)
 
@@ -241,7 +250,7 @@ def _suite_residues(config: RunConfig):
 _ORDINALS = {3: "third", 5: "fifth", 7: "seventh", 9: "ninth", 11: "eleventh"}
 
 
-def _suite_reduction(config: RunConfig):
+def _suite_reduction(config: RunConfig, steps: dict):
     limit = config.atom_nesting_limit
     reduced = recursion.reduce_matrix()
     literal = recursion.mkdv_recursion_literal()
@@ -268,10 +277,9 @@ def _suite_reduction(config: RunConfig):
             f"reduced step t_{m} -> t_{m + 2}", images[m], mkdv[m + 2]
         )
     for m in sources:
-        stepped = recursion.step(hierarchy.flow(m), nesting_limit=limit)
         yield _report(
             f"reduction commutes with step at t_{m}",
-            substitute_r_to_q(stepped.q_t),
+            substitute_r_to_q(_step_of(steps, m, config).q_t),
             images[m],
         )
     scaled_literal = recursion.scaled_mkdv_literal()
@@ -306,7 +314,10 @@ SUITES = ("all", *_SUITE_RUNNERS)
 
 def run_suite(suite: str, config: RunConfig):
     names = tuple(_SUITE_RUNNERS) if suite == "all" else (suite,)
-    return [check for name in names for check in _SUITE_RUNNERS[name](config)]
+    steps = {}
+    return [
+        check for name in names for check in _SUITE_RUNNERS[name](config, steps)
+    ]
 
 
 def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:

@@ -15,13 +15,19 @@ independent computations cancel exactly.
 
 Coefficients follow one rule: a coefficient is an ``int`` when it is
 integral and a ``Fraction`` only when it is not.  The reducer's rows are
-integer vectors, so the normal forms are computed without fractions and
-divided once at the end.
+integer vectors, so each monomial's normal form is computed without
+fractions and stored as one integer form ``(den, pre, res)``; ``integrate``
+sums those over a common denominator and divides once at the end.
+
+The engine does each piece of work once: every monomial key it makes is
+interned (one shared object per key), each class's closure walk is
+recorded whole and reused by later walks, and a reducer build computes each
+key's priority once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -366,15 +372,25 @@ class NonlocalAtom:
 # -- differentiation ---------------------------------------------------------
 
 
+# One shared object for each monomial key (and each closure set) the
+# integration engine makes, so equal keys met again cost no memory and
+# dict lookups on them hit on identity.
+_INTERNED = {}
+
+
+def _intern(key):
+    return _INTERNED.setdefault(key, key)
+
+
 def _dx_key(key) -> dict:
     """Total x-derivative of a single monic monomial, as a key -> coeff dict."""
     jets, atoms, scale = key
     out = {}
     for i, (_, power) in enumerate(jets):
-        nk = (_shift_order(jets, i, 1), atoms, scale)
+        nk = _intern((_shift_order(jets, i, 1), atoms, scale))
         out[nk] = out.get(nk, 0) + power
     for i, (akey, power) in enumerate(atoms):
-        nk = _key_mul((jets, _drop_one(atoms, i), scale), akey)
+        nk = _intern(_key_mul((jets, _drop_one(atoms, i), scale), akey))
         out[nk] = out.get(nk, 0) + power
     return out
 
@@ -396,7 +412,7 @@ class _Reducer:
     """Canonical reduction against the span of d_x images of candidate monomials.
 
     Pivot monomials are the leading terms (under `_mon_priority`) of the image
-    span, so the residual of `reduce` is the true normal form modulo that span
+    span, so the residual of `split` is the true normal form modulo that span
     and does not depend on the candidate processing order.
 
     Rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each row
@@ -407,8 +423,19 @@ class _Reducer:
     __slots__ = ("pivots",)
 
     def __init__(self, candidate_keys: Iterable):
+        # Each key's priority is computed once per build, and rows are
+        # inserted through the parallel list of their pivots' priorities.
+        priority = {}
+
+        def prio(key):
+            p = priority.get(key)
+            if p is None:
+                p = priority[key] = _mon_priority(key)
+            return p
+
         rows = []  # (pivot_key, lead, image dict, preimage dict), priority-asc
-        for ck in sorted(set(candidate_keys), key=_mon_priority, reverse=True):
+        row_prios = []
+        for ck in sorted(set(candidate_keys), key=prio, reverse=True):
             img = _dx_key(ck)
             used = {}
             scale = _reduce_against(rows, img, used)
@@ -416,27 +443,44 @@ class _Reducer:
                 continue
             pre = {ck: scale}
             _addto(pre, used.items(), -1)
-            pivot = max(img, key=_mon_priority)
+            pivot = max(img, key=prio)
             g = gcd(*img.values(), *pre.values())
             if img[pivot] < 0:
                 g = -g
             if g != 1:
                 img = {k: c // g for k, c in img.items()}
                 pre = {k: c // g for k, c in pre.items()}
-            row = (pivot, img[pivot], img, pre)
-            insort(rows, row, key=lambda r: _mon_priority(r[0]))
+            p = priority[pivot]
+            i = bisect_left(row_prios, p)
+            row_prios.insert(i, p)
+            rows.insert(i, (pivot, img[pivot], img, pre))
         self.pivots = rows
 
+    def split(self, work: dict, den: int = 1):
+        """The canonical integer normal form of the vector work / den.
+
+        Returns (den', pre, res) with ``work / den == d_x(pre / den') +
+        res / den'``: pre and res are sorted (key, int) tuples, den' > 0 and
+        the gcd of den' and every coefficient is 1.  work is consumed.
+        """
+        pre = {}
+        den *= _reduce_against(self.pivots, work, pre)
+        g = gcd(den, *pre.values(), *work.values())
+        return (
+            den // g,
+            tuple(sorted((k, c // g) for k, c in pre.items())),
+            tuple(sorted((k, c // g) for k, c in work.items())),
+        )
+
     def reduce(self, vec: dict):
-        """Split vec as (pre, residue) with vec == d_x(pre) + residue.
+        """Split vec as (pre, residue) dicts with vec == d_x(pre) + residue.
 
         Coefficients come back as `int` wherever they are integral.
         """
         den = lcm(*(c.denominator for c in vec.values()))
         work = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
-        pre_total = {}
-        den *= _reduce_against(self.pivots, work, pre_total)
-        return _divided(pre_total, den), _divided(work, den)
+        den, pre, res = self.split(work, den)
+        return _divided(dict(pre), den), _divided(dict(res), den)
 
 
 def _reduce_against(rows, work: dict, pre_total: dict) -> int:
@@ -486,13 +530,16 @@ def _divided(vec: dict, den: int) -> dict:
 # identical atoms, which is what lets them cancel exactly.
 #
 # Every monomial, local or atom-bearing, has one memoized normal form,
-# `_nf_atom`.  A monomial's closure depends only on its class: its symbol
+# `_nf_int`.  A monomial's closure depends only on its class: its symbol
 # degrees, jet weight, lam power and atom multiset.  A lowering followed by
 # a raising (`_shift_order` by -1, then +1) moves one derivative order
 # between any two jet factors and leaves the atoms alone, so the walk from
-# any member reaches the closure of them all.  The members share one
+# any member reaches every other member, and all of them visit the same
+# monomials and collect the same candidates.  The members share one
 # reducer, `_local_reducer`, walked from the member that puts every
-# derivative on one factor.
+# derivative on one factor.  A finished walk records its class's candidate
+# and visited sets in `_CLASS_CLOSURES`, and a later walk that reaches a
+# member of that class takes both sets whole instead of walking them again.
 #
 # A normal form needs no second pass over its residual.  Every monomial
 # the walk from m reaches has a closure contained in m's, so a leading
@@ -503,7 +550,8 @@ _WRAP_DEPTH_CAP = 3
 
 _CLOSURE_CAP = 6000
 
-# monomial key -> (d_x preimage, residue), for local keys as well as atom keys
+# monomial key -> its integer normal form (den, pre, res), for local keys as
+# well as atom keys: the monomial is d_x(pre / den) + res / den (`_Reducer.split`)
 _NF_ATOM_CACHE = {}
 
 
@@ -523,13 +571,13 @@ def _wrap_divisors(key):
 
 def _is_reduced_mono(key) -> bool:
     """Whether the monomial survives integration untouched."""
-    return _nf_atom(key)[0].is_zero
+    return not _nf_int(key)[1]
 
 
 def _candidates_for(key):
     jets, atoms, scale = key
     out = {
-        (_shift_order(jets, i, -1), atoms, scale)
+        _intern((_shift_order(jets, i, -1), atoms, scale))
         for i, ((_, order), _) in enumerate(jets)
         if order
     }
@@ -540,7 +588,7 @@ def _candidates_for(key):
             if not _is_reduced_mono(nu):
                 continue
             quotient = ((), _factor_sub(atoms, nu[1]), scale)
-            out.add(_key_mul(quotient, ((), ((nu, 1),), 0)))
+            out.add(_intern(_key_mul(quotient, ((), ((nu, 1),), 0))))
     return out
 
 
@@ -551,8 +599,23 @@ def _factor_sub(haystack, needle):
     return tuple(sorted((k, p) for k, p in h.items() if p))
 
 
-def _closure_candidates(key) -> set:
+def _class_of(key):
+    """(symbol degrees, jet weight, lam power, atoms): the closure's class."""
+    jets, atoms, scale = key
+    return _jet_symdeg(jets), _jet_weight(jets), scale, atoms
+
+
+# class -> (candidates, visited monomials) of a finished walk, as frozensets
+_CLASS_CLOSURES = {}
+
+
+def _closure_candidates(key) -> frozenset:
     """The candidates of key and of every monomial their images reach."""
+    cls = _class_of(key)
+    done = _CLASS_CLOSURES.get(cls)
+    if done is not None:
+        return done[0]
+    key = _intern(key)
     seen = {key}
     frontier = [key]
     candidates = set()
@@ -564,16 +627,26 @@ def _closure_candidates(key) -> set:
                     continue
                 candidates.add(cand)
                 for img_key in _dx_key(cand):
-                    if img_key not in seen:
+                    if img_key in seen:
+                        continue
+                    done = _CLASS_CLOSURES.get(_class_of(img_key))
+                    if done is None:
                         seen.add(img_key)
                         frontier.append(img_key)
+                    else:
+                        candidates |= done[0]
+                        seen |= done[1]
             if len(seen) > _CLOSURE_CAP:
                 raise EngineError(
                     f"integration closure of {DiffPoly.monomial(key)!r} "
                     f"reached {len(seen)} monomials, over "
                     f"diffring._CLOSURE_CAP = {_CLOSURE_CAP}"
                 )
-    return candidates
+    closure = _CLASS_CLOSURES[cls] = (
+        _intern(frozenset(candidates)),
+        _intern(frozenset(seen)),
+    )
+    return closure[0]
 
 
 _REDUCER_CACHE = {}
@@ -590,7 +663,7 @@ def _local_reducer(symdeg, weight: int, scale: int, atoms=()) -> _Reducer:
     jets = tuple(((sym, 0), deg) for sym, deg in symdeg)
     if weight:
         jets = _shift_order(jets, 0, weight)
-    candidates = frozenset(_closure_candidates((jets, atoms, scale)))
+    candidates = _closure_candidates((jets, atoms, scale))
     reducer = _REDUCER_CACHE.get(candidates)
     if reducer is None:
         reducer = _REDUCER_CACHE[candidates] = _Reducer(candidates)
@@ -600,8 +673,8 @@ def _local_reducer(symdeg, weight: int, scale: int, atoms=()) -> _Reducer:
 _NF_ATOM_BUILDING = set()
 
 
-def _nf_atom(key):
-    """Canonical split of one monomial as (d_x preimage, residue).
+def _nf_int(key):
+    """Canonical split of one monomial as its integer form (den, pre, res).
 
     Every monomial, local or atom-bearing, is split here.  Memoized globally
     in `_NF_ATOM_CACHE`; the result depends on the monomial alone, never on
@@ -615,6 +688,7 @@ def _nf_atom(key):
         raise EngineError(
             f"the normal form of {DiffPoly.monomial(key)!r} depends on itself"
         )
+    key = _intern(key)
     _NF_ATOM_BUILDING.add(key)
     try:
         result = _split_atom_mono(key)
@@ -624,12 +698,22 @@ def _nf_atom(key):
     return result
 
 
+def _nf_atom(key):
+    """The split of one monomial as (d_x preimage, residue) polynomials.
+
+    The integer form of `_nf_int` divided out; the engine itself reads the
+    integer form.
+    """
+    den, pre, res = _nf_int(key)
+    return (
+        DiffPoly._from_dict(_divided(dict(pre), den)),
+        DiffPoly._from_dict(_divided(dict(res), den)),
+    )
+
+
 def _split_atom_mono(key):
-    """Uncached body of `_nf_atom`: one reduction against its class's span."""
-    jets, atoms, scale = key
-    reducer = _local_reducer(_jet_symdeg(jets), _jet_weight(jets), scale, atoms)
-    pre, res = reducer.reduce({key: 1})
-    return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
+    """Uncached body of `_nf_int`: one reduction against its class's span."""
+    return _local_reducer(*_class_of(key)).split({key: 1})
 
 
 def clear_caches() -> None:
@@ -638,8 +722,8 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    _NF_ATOM_CACHE.clear()
-    _REDUCER_CACHE.clear()
+    for table in (_NF_ATOM_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED):
+        table.clear()
     for cached in (_atom_depth, _local_reducer):
         cached.cache_clear()
 
@@ -653,13 +737,24 @@ def integrate(p: DiffPoly):
     to zero.  The split is linear, and equal monomials resolve identically in
     every context.
     """
+    forms = [(c, _nf_int(key)) for key, c in p.terms]
+    # The integer forms are summed over one common denominator, divided once.
+    den = 1
+    for c, (d, _, _) in forms:
+        if d != 1 or type(c) is not int:
+            den = lcm(den, d * c.denominator)
     f_total = {}
     rho_total = {}
-    for key, coeff in p.terms:
-        f_part, rho_part = _nf_atom(key)
-        _addto(f_total, f_part.terms, coeff)
-        _addto(rho_total, rho_part.terms, coeff)
-    return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
+    for c, (d, pre, res) in forms:
+        if den != 1:
+            c = c.numerator * (den // (d * c.denominator))
+        if pre:
+            _addto(f_total, pre, c)
+        _addto(rho_total, res, c)
+    return (
+        DiffPoly._from_dict(_divided(f_total, den)),
+        DiffPoly._from_dict(_divided(rho_total, den)),
+    )
 
 
 def antiderivative(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cckp import recursion
 from cckp.cli import RunConfig, main
 from cckp.grammar import parse_poly, poly_from_json
 from cckp.hierarchy import flow
@@ -181,6 +182,22 @@ def test_verify_max_flow_sets_every_range(
     assert payload["config"]["max_flow"] == max_flow
     assert set(expected) <= set(names)
     assert max(_flow_indices(names)) == max_flow
+
+
+def test_verify_all_steps_each_flow_once(capsys, clean_env, monkeypatch):
+    stepped = []
+    real_step = recursion.step
+
+    def counting_step(pair, *args, **kwargs):
+        stepped.append(pair.m)
+        return real_step(pair, *args, **kwargs)
+
+    monkeypatch.setattr(recursion, "step", counting_step)
+    payload, _ = _verify_json(capsys, "all")
+    assert payload["passed"] is True
+    # t_1, t_3 and t_5 once each, shared by the recursion and reduction
+    # suites, and the second step of the two-step check from t_1.
+    assert sorted(stepped) == [1, 3, 3, 5]
 
 
 def test_verify_max_flow_1_runs_below_t_3(capsys, clean_env):

@@ -681,6 +681,12 @@ class TestMemoTables:
             m.setattr(diffring, "_CLOSURE_CAP", 1)
             with pytest.raises(EngineError):
                 integrate(p)
+            # A walk that trips the cap records no class closure.
+            failed = diffring._class_of(_single_key(p))
+            assert failed not in diffring._CLASS_CLOSURES
+            assert all(
+                len(seen) <= 1 for _, seen in diffring._CLASS_CLOSURES.values()
+            )
         local, rho = integrate(p)
         assert local == Q * R * a
         assert d_x(local) + rho == p
@@ -725,6 +731,8 @@ class TestMemoTables:
         clear_caches()
         assert not diffring._NF_ATOM_CACHE
         assert not diffring._REDUCER_CACHE
+        assert not diffring._CLASS_CLOSURES
+        assert not diffring._INTERNED
         cached = [
             v for v in vars(diffring).values() if hasattr(v, "cache_info")
         ]
@@ -789,11 +797,20 @@ def _atom_keys(key):
         yield from _atom_keys(akey)
 
 
+def _as_pair(form):
+    """A stored integer form (den, pre, res) as its (preimage, residue) pair."""
+    den, pre, res = form
+    return tuple(
+        DiffPoly._from_dict({k: Fraction(c, den) for k, c in items})
+        for items in (pre, res)
+    )
+
+
 class TestAtomNormalForms:
     def test_atom_keys_are_bare_monomial_keys(self):
         cached = _fill_atom_cache(9)
         keys = set(cached)
-        for f, rho in cached.values():
+        for f, rho in map(_as_pair, cached.values()):
             keys.update(k for k, _ in f.terms + rho.terms)
         atom_keys = {a for key in keys for a in _atom_keys(key)}
         assert len(atom_keys) > 10
@@ -806,8 +823,8 @@ class TestAtomNormalForms:
         assert len(cached) > 100
         for key, value in cached.items():
             reference = _reference_split_atom_mono(key)
-            assert diffring._split_atom_mono(key) == reference
-            assert value == reference
+            assert _as_pair(diffring._split_atom_mono(key)) == reference
+            assert _as_pair(value) == reference
 
     def test_normal_forms_do_not_depend_on_the_order(self):
         cached = _fill_atom_cache(9)
@@ -819,3 +836,94 @@ class TestAtomNormalForms:
                 diffring._nf_atom(key)
             changed = [k for k in keys if diffring._NF_ATOM_CACHE[k] != cached[k]]
             assert not changed, (seed, len(changed), len(keys))
+
+
+def _reference_closure(key):
+    """The closure walk that reuses nothing: every reached monomial is walked.
+
+    Returns the candidates and the visited monomials.
+    """
+    seen = {key}
+    frontier = [key]
+    candidates = set()
+    while frontier:
+        batch, frontier = frontier, []
+        for mono in batch:
+            for cand in diffring._candidates_for(mono):
+                if cand in candidates:
+                    continue
+                candidates.add(cand)
+                for img_key in diffring._dx_key(cand):
+                    if img_key not in seen:
+                        seen.add(img_key)
+                        frontier.append(img_key)
+    return candidates, seen
+
+
+def _chain_classes(top):
+    """The classes of the monomials the step chain to t_top splits, in
+    `_class_start` order, and those monomials."""
+    cached = _fill_atom_cache(top)
+    classes = {
+        (diffring._jet_symdeg(jets), diffring._jet_weight(jets), atoms, scale)
+        for jets, atoms, scale in cached
+    }
+    return sorted(classes), sorted(cached)
+
+
+class TestClassClosures:
+    def test_cold_walks_match_the_walk_that_reuses_nothing(self):
+        classes, _ = _chain_classes(9)
+        assert len(classes) > 200
+        for cls in classes:
+            start = _class_start(*cls)
+            clear_caches()
+            got = diffring._closure_candidates(start)
+            visited = diffring._CLASS_CLOSURES[diffring._class_of(start)][1]
+            assert (got, visited) == _reference_closure(start)
+
+    def test_shuffled_fills_match_the_walk_that_reuses_nothing(self):
+        classes, keys = _chain_classes(9)
+        for seed in (1, 2):
+            random.Random(seed).shuffle(keys)
+            clear_caches()
+            for key in keys:
+                diffring._nf_int(key)
+            recorded = dict(diffring._CLASS_CLOSURES)
+            assert len(recorded) > 100
+            for cls in classes:
+                start = _class_start(*cls)
+                assert diffring._closure_candidates(start) == (
+                    _reference_closure(start)[0]
+                )
+            for (symdeg, weight, scale, atoms), closure in recorded.items():
+                start = _class_start(symdeg, weight, atoms, scale)
+                assert closure == _reference_closure(start)
+
+    def test_equal_engine_keys_are_one_object(self):
+        _fill_atom_cache(9)
+        canonical = {}
+        keys = []
+        for key, (_, pre, res) in diffring._NF_ATOM_CACHE.items():
+            keys.append(key)
+            keys.extend(k for k, _ in pre + res)
+        for reducer in diffring._REDUCER_CACHE.values():
+            for pivot, _, img, pre in reducer.pivots:
+                keys.append(pivot)
+                keys.extend(img)
+                keys.extend(pre)
+        assert len(keys) > 10000
+        for key in keys:
+            assert canonical.setdefault(key, key) is key
+
+    def test_stored_forms_are_canonical(self):
+        cached = _fill_atom_cache(9)
+        for key, (den, pre, res) in cached.items():
+            assert type(den) is int and den > 0
+            coeffs = [c for _, c in pre + res]
+            assert all(type(c) is int and c for c in coeffs)
+            assert math.gcd(den, *coeffs) == 1
+            for items in (pre, res):
+                assert list(items) == sorted(items)
+                assert len({k for k, _ in items}) == len(items)
+            assert diffring._is_reduced_mono(key) == (not pre)
