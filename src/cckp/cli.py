@@ -170,8 +170,8 @@ def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
 # Each suite yields its checks in order.  --max-flow sets every range: the
 # step, Lax, identity and residue checks run at odd indices up to
 # max_flow - 2 (a step's image is t_(max_flow)), and the reduced steps start
-# from odd indices up to max_flow - 4.  The suites of one run share one
-# table of steps, `steps`, so each flow is stepped once.
+# from odd indices up to max_flow - 4.  The recursion and reduction suites
+# of one run share one table of steps, `steps`, so each flow is stepped once.
 
 
 def _odd(first: int, last: int) -> range:
@@ -200,11 +200,11 @@ def _step_of(steps: dict, m: int, config: RunConfig):
     return steps[m]
 
 
-def _suite_skew(config: RunConfig, steps: dict):
+def _suite_skew(config: RunConfig):
     yield hierarchy.check_skew(config.depth)
 
 
-def _suite_lax(config: RunConfig, steps: dict):
+def _suite_lax(config: RunConfig):
     for n in _odd(3, config.max_flow - 2):
         yield hierarchy.check_lax(n, 2)
 
@@ -221,12 +221,13 @@ def _suite_recursion(config: RunConfig, steps: dict):
         yield from _flow_reports(name, _step_of(steps, m, config), target)
         if m == 3:
             two = recursion.step(
-                steps[1], nesting_limit=config.atom_nesting_limit
+                _step_of(steps, 1, config),
+                nesting_limit=config.atom_nesting_limit,
             )
             yield from _flow_reports("two-step t_1 -> t_5", two, target)
 
 
-def _suite_identities(config: RunConfig, steps: dict):
+def _suite_identities(config: RunConfig):
     q, r = DiffPoly.jet("q"), DiffPoly.jet("r")
     probes = (q, r, q * r, DiffPoly.jet("q", 1))
     for n in _odd(1, config.max_flow - 2):
@@ -241,7 +242,7 @@ def _suite_identities(config: RunConfig, steps: dict):
         yield CheckReport.of(f"recursion-identities t_{n}", collected)
 
 
-def _suite_residues(config: RunConfig, steps: dict):
+def _suite_residues(config: RunConfig):
     for m in _odd(1, config.max_flow - 2):
         yield hierarchy.check_residue_coefficients(m)
 
@@ -311,13 +312,19 @@ _SUITE_RUNNERS = {
 
 SUITES = ("all", *_SUITE_RUNNERS)
 
+# The suites that step flows; they share the run's table of steps.
+_STEPPING_SUITES = (_suite_recursion, _suite_reduction)
+
 
 def run_suite(suite: str, config: RunConfig):
     names = tuple(_SUITE_RUNNERS) if suite == "all" else (suite,)
     steps = {}
-    return [
-        check for name in names for check in _SUITE_RUNNERS[name](config, steps)
-    ]
+    checks = []
+    for name in names:
+        runner = _SUITE_RUNNERS[name]
+        args = (config, steps) if runner in _STEPPING_SUITES else (config,)
+        checks.extend(runner(*args))
+    return checks
 
 
 def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:

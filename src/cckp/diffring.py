@@ -611,10 +611,6 @@ _CLASS_CLOSURES = {}
 
 def _closure_candidates(key) -> frozenset:
     """The candidates of key and of every monomial their images reach."""
-    cls = _class_of(key)
-    done = _CLASS_CLOSURES.get(cls)
-    if done is not None:
-        return done[0]
     key = _intern(key)
     seen = {key}
     frontier = [key]
@@ -642,7 +638,7 @@ def _closure_candidates(key) -> frozenset:
                     f"reached {len(seen)} monomials, over "
                     f"diffring._CLOSURE_CAP = {_CLOSURE_CAP}"
                 )
-    closure = _CLASS_CLOSURES[cls] = (
+    closure = _CLASS_CLOSURES[_class_of(key)] = (
         _intern(frozenset(candidates)),
         _intern(frozenset(seen)),
     )

@@ -567,6 +567,8 @@ class TestCandidates:
                         shared = diffring._closure_candidates(start)
                         for jets in _component_jets(symdeg, weight):
                             key = (jets, atoms, scale)
+                            # A walk that reuses no recorded class.
+                            diffring._CLASS_CLOSURES.clear()
                             assert diffring._closure_candidates(key) == shared
                             members += 1
         assert members > 2700
@@ -585,6 +587,7 @@ class TestCandidates:
         for cls, keys in classes.items():
             shared = diffring._closure_candidates(_class_start(*cls))
             for key in keys:
+                diffring._CLASS_CLOSURES.clear()
                 assert diffring._closure_candidates(key) == shared
 
     def test_shift_order_matches_merge_of_drop(self):
@@ -743,7 +746,7 @@ class TestMemoTables:
 
 def _reference_split_atom_mono(key):
     """The per-monomial loop `_nf_atom` was built on before `_split`."""
-    reducer = diffring._Reducer(diffring._closure_candidates(key))
+    reducer = diffring._Reducer(_reference_closure(key)[0])
     pre, res = reducer.reduce({key: Fraction(1)})
     if key in res:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
@@ -899,6 +902,17 @@ class TestClassClosures:
             for (symdeg, weight, scale, atoms), closure in recorded.items():
                 start = _class_start(symdeg, weight, atoms, scale)
                 assert closure == _reference_closure(start)
+
+    def test_every_member_reaches_its_recorded_class_closure(self):
+        # Reuse takes a class's recorded candidates whole wherever a walk
+        # reaches one of its members, so a walk from any member must find
+        # exactly what the walk from the class start recorded.
+        _, keys = _chain_classes(9)
+        assert len(keys) > 700 and sum(1 for key in keys if key[1]) > 300
+        recorded = dict(diffring._CLASS_CLOSURES)
+        for key in keys:
+            closure = recorded[diffring._class_of(key)]
+            assert _reference_closure(key)[0] == closure[0]
 
     def test_equal_engine_keys_are_one_object(self):
         _fill_atom_cache(9)
