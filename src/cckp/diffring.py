@@ -113,6 +113,25 @@ def _key_mul(k1, k2):
     )
 
 
+def _products_into(acc: dict, a_terms, b_terms, c=1) -> None:
+    """Add c * (a * b) into the sparse dict acc, a and b given by their terms.
+
+    The one product loop of the ring: `DiffPoly.__mul__` and the Leibniz
+    expansion of operators both sum their products here.
+    """
+    get = acc.get
+    for k1, c1 in a_terms:
+        if c != 1:
+            c1 = c * c1
+        for k2, c2 in b_terms:
+            k = _key_mul(k1, k2)
+            v = get(k, 0) + c1 * c2
+            if v:
+                acc[k] = v
+            elif k in acc:
+                del acc[k]
+
+
 def _jet_weight(jets) -> int:
     return sum(order * p for (_, order), p in jets)
 
@@ -266,14 +285,7 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         d = {}
-        _addto(
-            d,
-            [
-                (_key_mul(k1, k2), c1 * c2)
-                for k1, c1 in self.terms
-                for k2, c2 in other.terms
-            ],
-        )
+        _products_into(d, self.terms, other.terms)
         return DiffPoly._from_dict(d)
 
     __rmul__ = __mul__
@@ -472,16 +484,6 @@ class _Reducer:
             tuple(sorted((k, c // g) for k, c in work.items())),
         )
 
-    def reduce(self, vec: dict):
-        """Split vec as (pre, residue) dicts with vec == d_x(pre) + residue.
-
-        Coefficients come back as `int` wherever they are integral.
-        """
-        den = lcm(*(c.denominator for c in vec.values()))
-        work = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
-        den, pre, res = self.split(work, den)
-        return _divided(dict(pre), den), _divided(dict(res), den)
-
 
 def _reduce_against(rows, work: dict, pre_total: dict) -> int:
     """Eliminate the rows' pivots from the integer vector work, in place.
@@ -574,13 +576,19 @@ def _is_reduced_mono(key) -> bool:
     return not _nf_int(key)[1]
 
 
-def _candidates_for(key):
+def _candidates_for(key) -> dict:
+    """The candidates of one monomial, as the keys of an insertion-ordered dict.
+
+    Lowerings come first, in jet order, then wraps in `_wrap_divisors` order,
+    so a walk over them (which may finish other classes on the way, through
+    `_is_reduced_mono`) does the same work under every hash seed.
+    """
     jets, atoms, scale = key
-    out = {
+    out = dict.fromkeys(
         _intern((_shift_order(jets, i, -1), atoms, scale))
         for i, ((_, order), _) in enumerate(jets)
         if order
-    }
+    )
     if atoms:
         for nu in _wrap_divisors(key):
             if _atom_depth(nu) > _WRAP_DEPTH_CAP:
@@ -588,7 +596,7 @@ def _candidates_for(key):
             if not _is_reduced_mono(nu):
                 continue
             quotient = ((), _factor_sub(atoms, nu[1]), scale)
-            out.add(_intern(_key_mul(quotient, ((), ((nu, 1),), 0))))
+            out[_intern(_key_mul(quotient, ((), ((nu, 1),), 0)))] = None
     return out
 
 
@@ -692,19 +700,6 @@ def _nf_int(key):
         _NF_ATOM_BUILDING.discard(key)
     _NF_ATOM_CACHE[key] = result
     return result
-
-
-def _nf_atom(key):
-    """The split of one monomial as (d_x preimage, residue) polynomials.
-
-    The integer form of `_nf_int` divided out; the engine itself reads the
-    integer form.
-    """
-    den, pre, res = _nf_int(key)
-    return (
-        DiffPoly._from_dict(_divided(dict(pre), den)),
-        DiffPoly._from_dict(_divided(dict(res), den)),
-    )
 
 
 def _split_atom_mono(key):

@@ -154,20 +154,6 @@ def _chain_is_zero(chain) -> bool:
 # -- evaluation -----------------------------------------------------------------
 
 
-def apply_term(
-    t: IntDiffTerm, f: DiffPoly, nesting_limit: int = DEFAULT_NESTING_LIMIT
-) -> DiffPoly:
-    out = f
-    for factor in reversed(t.chain):
-        if factor is DX:
-            out = d_x(out)
-        elif factor is DXINV:
-            out = antiderivative(out, nesting_limit)
-        else:
-            out = factor * out
-    return out
-
-
 def apply(
     operator: IntDiffOperator,
     f: DiffPoly,
@@ -177,11 +163,55 @@ def apply(
 
     Every d^-1 is resolved through the integration engine; irreducible
     remainders become antiderivative atoms in the result.
+
+    The chains are evaluated as one tree.  Every factor is linear (a
+    multiplier, d, or d^-1 with canonical atoms), so the chains that begin
+    with the same factor are summed first and that factor is applied once to
+    the sum.  A lone chain is evaluated once per call and scaled by its
+    weight wherever it is met again.  Each sum integrated here is a linear
+    combination of what term-by-term evaluation integrates, so its
+    monomials are a subset of theirs: this can raise only where applying
+    each chain on its own raises.
     """
+    branches = [(weight, t.chain) for weight, t in operator.terms]
+    return _sum_tree(branches, {(): f}, nesting_limit)
+
+
+def _sum_tree(branches, memo: dict, nesting_limit: int) -> DiffPoly:
+    """The sum of weight * chain(f) over (weight, chain) branches; memo[()] is f."""
+    if len(branches) == 1:
+        weight, chain = branches[0]
+        return _lone_chain(chain, memo, nesting_limit) * weight
     out = DiffPoly.zero()
-    for weight, t in operator.terms:
-        out = out + weight * apply_term(t, f, nesting_limit)
+    heads = {}
+    for weight, chain in branches:
+        if chain:
+            heads.setdefault(chain[0], []).append((weight, chain[1:]))
+        else:
+            out = out + memo[()] * weight
+    for head, rest in heads.items():
+        out = out + _apply_factor(
+            head, _sum_tree(rest, memo, nesting_limit), nesting_limit
+        )
     return out
+
+
+def _lone_chain(chain, memo: dict, nesting_limit: int) -> DiffPoly:
+    """The value of one unweighted chain on memo[()], memoized with its suffixes."""
+    key = _chain_key(chain)
+    value = memo.get(key)
+    if value is None:
+        inner = _lone_chain(chain[1:], memo, nesting_limit)
+        value = memo[key] = _apply_factor(chain[0], inner, nesting_limit)
+    return value
+
+
+def _apply_factor(factor, value: DiffPoly, nesting_limit: int) -> DiffPoly:
+    if factor is DX:
+        return d_x(value)
+    if factor is DXINV:
+        return antiderivative(value, nesting_limit)
+    return factor * value
 
 
 def expand_term_to_psido(t: IntDiffTerm, depth: int) -> PsiDO:

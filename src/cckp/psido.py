@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .diffring import DiffPoly, d_x
+from .diffring import DiffPoly, _products_into, d_x
 from .errors import DepthExhausted, GrammarError, NegativeOrderApplication
 from .grammar import (
     LATEX,
@@ -195,30 +195,33 @@ def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
     """Add the generalized-Leibniz expansion of a o b into out, down to -eff.
 
     `a` and `b` map orders to coefficients; coefficients of `a` may also be
-    plain integers.
+    plain integers.  Each output order's products are summed in one sparse
+    dict, seeded with what `out` already holds there, and turned into one
+    canonical coefficient at the end.
     """
+    a_terms = [
+        (k, (ak if isinstance(ak, DiffPoly) else DiffPoly.const(ak)).terms)
+        for k, ak in a.items()
+    ]
+    sums = {}
     for l, bl in b.items():
         derivs = [bl]
-        for k, ak in a.items():
-            if k >= 0:
-                j_iter = range(0, k + 1)
-            else:
-                j_iter = range(0, k + l + eff + 1)
-            for j in j_iter:
+        for k, terms in a_terms:
+            top = k if k >= 0 else k + l + eff
+            for j in range(top + 1):
                 n = k + l - j
                 if n < -eff:
-                    continue
+                    break
                 while len(derivs) <= j:
                     derivs.append(d_x(derivs[-1]))
                 if derivs[j].is_zero:
                     break
-                coeff = gbinom(k, j)
-                if coeff == 0:
-                    continue
-                term = ak * derivs[j] * coeff
-                if term.is_zero:
-                    continue
-                out[n] = out.get(n, DiffPoly.zero()) + term
+                acc = sums.get(n)
+                if acc is None:
+                    acc = sums[n] = dict(out[n].terms) if n in out else {}
+                _products_into(acc, terms, derivs[j].terms, gbinom(k, j))
+    for n, acc in sums.items():
+        out[n] = DiffPoly._from_dict(acc)
 
 
 def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:

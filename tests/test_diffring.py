@@ -1,9 +1,13 @@
 """Ring arithmetic, differentiation, and the integration engine."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,23 @@ Q = DiffPoly.jet("q")
 R = DiffPoly.jet("r")
 QX = DiffPoly.jet("q", 1)
 RX = DiffPoly.jet("r", 1)
+
+
+def _reduce(reducer, vec):
+    """Split vec as (pre, residue) dicts with vec == d_x(pre) + residue.
+
+    A dict view of `_Reducer.split`; coefficients come back as `int`
+    wherever they are integral.
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in vec.values()))
+    work = {k: int(c * den) for k, c in vec.items()}
+    den, pre, res = reducer.split(work, den)
+    return diffring._divided(dict(pre), den), diffring._divided(dict(res), den)
+
+
+def _nf_atom(key):
+    """The engine's memoized split of one monomial as (d_x preimage, residue)."""
+    return _as_pair(diffring._nf_int(key))
 
 
 class TestArithmetic:
@@ -544,7 +565,7 @@ class TestCandidates:
                     reducer = diffring._local_reducer(symdeg, weight, scale)
                     for jets in _component_jets(symdeg, weight):
                         key = (jets, (), scale)
-                        pre, _ = reducer.reduce({key: Fraction(1)})
+                        pre, _ = _reduce(reducer, {key: Fraction(1)})
                         expected = weight < 1 or not pre
                         assert diffring._is_reduced_mono(key) == expected
                         seen.add(expected)
@@ -590,6 +611,29 @@ class TestCandidates:
                 diffring._CLASS_CLOSURES.clear()
                 assert diffring._closure_candidates(key) == shared
 
+    def test_walks_do_not_depend_on_the_hash_seed(self):
+        # A walk can finish other classes on its way (through
+        # `_is_reduced_mono`), so the order it meets candidates in decides
+        # how much work it does; that order must not follow string hashes.
+        script = (
+            "from cckp import diffring, hierarchy, recursion\n"
+            "pair = hierarchy.flow(1)\n"
+            "while pair.m < 7:\n"
+            "    pair = recursion.step(pair)\n"
+            "print(tuple(diffring._atom_depth.cache_info()),"
+            " tuple(diffring._local_reducer.cache_info()))\n"
+        )
+        src = str(Path(cckp.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in (0, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] != ""
+
     def test_shift_order_matches_merge_of_drop(self):
         rng = random.Random(SEED)
         for _ in range(300):
@@ -632,7 +676,7 @@ class TestReducerRows:
         reducer = diffring._local_reducer((("q", 1), ("r", 1)), 2, 0)
         key = (((("q", 2), 1), (("r", 0), 1)), (), 0)
         for c in (1, Fraction(4, 2), Fraction(1, 3)):
-            pre, res = reducer.reduce({key: c})
+            pre, res = _reduce(reducer, {key: c})
             whole = c * DiffPoly.monomial(key)
             assert d_x(DiffPoly._from_dict(pre)) + DiffPoly._from_dict(res) == whole
             expected = {int} if Fraction(c).denominator == 1 else {Fraction}
@@ -652,7 +696,7 @@ def _reference_grouped_integrate(p):
     for (symdeg, weight, scale), vec in groups.items():
         lower = _component_jets(symdeg, weight - 1)
         reducer = diffring._Reducer((jets, (), scale) for jets in lower)
-        pre, res = reducer.reduce(vec)
+        pre, res = _reduce(reducer, vec)
         diffring._addto(f_total, pre.items())
         diffring._addto(rho_total, res.items())
     return DiffPoly._from_dict(f_total), DiffPoly._from_dict(rho_total)
@@ -720,7 +764,7 @@ class TestMemoTables:
         clear_caches()
         with monkeypatch.context() as m:
             # A build that asks for its own normal form.
-            m.setattr(diffring, "_split_atom_mono", diffring._nf_atom)
+            m.setattr(diffring, "_split_atom_mono", _nf_atom)
             with pytest.raises(EngineError):
                 integrate(p)
         assert key not in diffring._NF_ATOM_CACHE
@@ -747,7 +791,7 @@ class TestMemoTables:
 def _reference_split_atom_mono(key):
     """The per-monomial loop `_nf_atom` was built on before `_split`."""
     reducer = diffring._Reducer(_reference_closure(key)[0])
-    pre, res = reducer.reduce({key: Fraction(1)})
+    pre, res = _reduce(reducer, {key: Fraction(1)})
     if key in res:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
     f_total = dict(pre)
@@ -767,12 +811,12 @@ def _reference_split_atom_mono(key):
 def _reference_nf_any(key):
     jets, atoms, scale = key
     if atoms:
-        return diffring._nf_atom(key)
+        return _nf_atom(key)
     weight = diffring._jet_weight(jets)
     if weight < 1:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
     reducer = diffring._local_reducer(diffring._jet_symdeg(jets), weight, scale)
-    pre, res = reducer.reduce({key: Fraction(1)})
+    pre, res = _reduce(reducer, {key: Fraction(1)})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 
 
@@ -836,7 +880,7 @@ class TestAtomNormalForms:
             random.Random(seed).shuffle(keys)
             cckp.clear_caches()
             for key in keys:
-                diffring._nf_atom(key)
+                _nf_atom(key)
             changed = [k for k in keys if diffring._NF_ATOM_CACHE[k] != cached[k]]
             assert not changed, (seed, len(changed), len(keys))
 

@@ -7,6 +7,7 @@ import pytest
 
 from cckp.diffring import DiffPoly, antiderivative, d_x
 from cckp.errors import NestingTooDeep
+from cckp.hierarchy import flow
 from cckp.nonlocal_ops import (
     DX,
     DXINV,
@@ -25,6 +26,7 @@ from cckp.nonlocal_ops import (
     term,
 )
 from cckp.psido import residuals
+from cckp.recursion import build_matrix
 
 from conftest import P, SEED, random_local_poly
 
@@ -246,3 +248,71 @@ def test_expansion_equality_of_equivalent_forms():
         IntDiffOperator(((1, term(Q)), (-1, term(DXINV, QX)))), 5
     )
     assert not residuals(lhs, rhs, 5)
+
+
+def _termwise(op, f, nesting_limit=2):
+    """The sum of `apply` over the operator's one-term operators."""
+    total = DiffPoly.zero()
+    for weight, t in op.terms:
+        total = total + apply(IntDiffOperator(((weight, t),)), f, nesting_limit)
+    return total
+
+
+def _random_chain_operator(rng):
+    """Chains with shared prefixes, repeated suffixes and multiplier-only ones."""
+    muls = [Q, R, QX, Q * R, 2 * Q - R, Q * antiderivative(Q * R)]
+    chains = []
+    for _ in range(rng.randint(1, 3)):
+        chain = []
+        for _ in range(rng.randint(1, 5)):
+            chain.append(rng.choice(muls + [DX, DXINV, DXINV]))
+        chains.append(chain)
+    # Every prefix of a chain is a chain too.
+    base = rng.choice(chains)
+    chains += [base[:i] for i in range(1, len(base))]
+    # One suffix behind several heads.
+    tail = rng.choice(chains)[-2:]
+    chains += [[head] + tail for head in rng.sample(muls + [DX, DXINV], 2)]
+    # Multiplier-only chains.
+    chains += [[rng.choice(muls)] for _ in range(2)]
+    weights = [Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for _ in chains]
+    return IntDiffOperator(
+        (w, IntDiffTerm(c)) for w, c in zip(weights, chains) if c
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NestingTooDeep:
+        return NestingTooDeep
+
+
+def test_factored_apply_matches_termwise_randomized():
+    rng = random.Random(SEED)
+    outcomes = set()
+    for _ in range(80):
+        op = _random_chain_operator(rng)
+        f = random_local_poly(rng, max_terms=2, max_order=1, max_weight=2)
+        for limit in (1, 2):
+            factored = _outcome(apply, op, f, limit)
+            termwise = _outcome(_termwise, op, f, limit)
+            # The factored form raises only where term-by-term evaluation
+            # does, and otherwise agrees with it.
+            if factored is NestingTooDeep:
+                assert termwise is NestingTooDeep
+            elif termwise is not NestingTooDeep:
+                assert factored == termwise
+            outcomes.add((factored is NestingTooDeep, termwise is NestingTooDeep))
+    assert {(False, False), (True, True)} <= outcomes
+
+
+def test_factored_apply_matches_termwise_on_the_matrix():
+    mat = build_matrix()
+    for m in (1, 3, 5, 7):
+        pair = flow(m)
+        for entry, f in (
+            (mat.r11, pair.q_t), (mat.r12, pair.r_t),
+            (mat.r21, pair.q_t), (mat.r22, pair.r_t),
+        ):
+            assert apply(entry, f) == _termwise(entry, f)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cckp import psido
 from cckp.diffring import DiffPoly, d_x
 from cckp.errors import DepthExhausted, NegativeOrderApplication
 from cckp.psido import (
+    EXACT_DEPTH,
     PsiDO,
     adjoint,
     apply,
@@ -19,7 +21,7 @@ from cckp.psido import (
     residuals,
 )
 
-from conftest import P, SEED, random_local_poly
+from conftest import P, SEED, random_local_poly, random_poly
 
 Q = DiffPoly.jet("q")
 R = DiffPoly.jet("r")
@@ -47,11 +49,14 @@ def naive_compose(a: dict, b: dict, depth: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-def random_psido(rng, depth=6, max_order=2):
+def random_psido(rng, depth=6, max_order=2, min_order=-2, coeff=None):
+    coeff = coeff or (
+        lambda rng: random_local_poly(rng, max_terms=2, max_order=1, max_weight=2)
+    )
     coeffs = {}
-    for k in range(-2, max_order + 1):
+    for k in range(max(min_order, -depth), max_order + 1):
         if rng.random() < 0.6:
-            c = random_local_poly(rng, max_terms=2, max_order=1, max_weight=2)
+            c = coeff(rng)
             if not c.is_zero:
                 coeffs[k] = c
     if not coeffs:
@@ -205,3 +210,116 @@ def test_commutator_depth_bookkeeping():
         lax = lax_operator(n + 2)
         bracket = commutator(bn(n), lax)
         assert bracket.trunc_depth >= 2
+
+
+def _reference_leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
+    """The per-term Leibniz kernel: every product is added into its order's
+    canonical coefficient on its own."""
+    for l, bl in b.items():
+        derivs = [bl]
+        for k, ak in a.items():
+            if k >= 0:
+                j_iter = range(0, k + 1)
+            else:
+                j_iter = range(0, k + l + eff + 1)
+            for j in j_iter:
+                n = k + l - j
+                if n < -eff:
+                    continue
+                while len(derivs) <= j:
+                    derivs.append(d_x(derivs[-1]))
+                if derivs[j].is_zero:
+                    break
+                coeff = gbinom(k, j)
+                if coeff == 0:
+                    continue
+                term = ak * derivs[j] * coeff
+                if term.is_zero:
+                    continue
+                out[n] = out.get(n, DiffPoly.zero()) + term
+
+
+def _typed(op: PsiDO):
+    """The operator with each coefficient's type, so int and Fraction differ."""
+    return op.trunc_depth, {
+        k: tuple((key, type(c), c) for key, c in p.terms)
+        for k, p in op.coeffs.items()
+    }
+
+
+def _random_coeff(rng):
+    return random_poly(
+        rng, max_terms=2, max_order=1, max_weight=2,
+        allow_atoms=True, allow_scale=True,
+    )
+
+
+def _random_operator(rng, depth, low=-2, high=2):
+    """Coefficients with atoms and lam powers, as well as local ones."""
+    return random_psido(rng, depth, high, low, _random_coeff)
+
+
+def _with_reference(monkeypatch, fn, *args, **kw):
+    with monkeypatch.context() as m:
+        m.setattr(psido, "_leibniz_into", _reference_leibniz_into)
+        return fn(*args, **kw)
+
+
+class TestLeibnizKernel:
+    """The per-order accumulation gives what the per-term kernel gives."""
+
+    def test_compose_matches_per_term_kernel(self, monkeypatch):
+        rng = random.Random(SEED)
+        for _ in range(60):
+            a = _random_operator(rng, rng.randint(2, 6))
+            b = _random_operator(rng, rng.randint(2, 6))
+            ref = _with_reference(monkeypatch, compose, a, b)
+            assert _typed(compose(a, b)) == _typed(ref)
+            for depth in range(ref.trunc_depth + 1):
+                ref = _with_reference(monkeypatch, compose, a, b, depth)
+                assert _typed(compose(a, b, depth)) == _typed(ref)
+
+    def test_exact_compose_matches_per_term_kernel(self, monkeypatch):
+        rng = random.Random(SEED)
+        for _ in range(60):
+            a = _random_operator(rng, EXACT_DEPTH, low=0, high=3)
+            b = _random_operator(rng, EXACT_DEPTH, low=0, high=3)
+            out = compose(a, b)
+            assert out.is_exact
+            assert _typed(out) == _typed(
+                _with_reference(monkeypatch, compose, a, b)
+            )
+            # Exact operands with an integral tail, at an explicit depth.
+            c = _random_operator(rng, EXACT_DEPTH, low=-2, high=1)
+            depth = rng.randint(1, 5)
+            assert _typed(compose(c, a, depth)) == _typed(
+                _with_reference(monkeypatch, compose, c, a, depth)
+            )
+
+    def test_adjoint_matches_per_term_kernel(self, monkeypatch):
+        rng = random.Random(SEED)
+        for _ in range(60):
+            a = _random_operator(rng, rng.randint(2, 6))
+            ref = _with_reference(monkeypatch, adjoint, a)
+            assert _typed(adjoint(a)) == _typed(ref)
+            depth = rng.randint(0, a.trunc_depth)
+            ref = _with_reference(monkeypatch, adjoint, a, depth)
+            assert _typed(adjoint(a, depth)) == _typed(ref)
+            exact = _random_operator(rng, EXACT_DEPTH, low=0, high=3)
+            assert _typed(adjoint(exact)) == _typed(
+                _with_reference(monkeypatch, adjoint, exact)
+            )
+
+    def test_prefilled_out_is_added_to(self):
+        rng = random.Random(SEED)
+        for _ in range(40):
+            a = _random_operator(rng, 4)
+            b = _random_operator(rng, 4)
+            # Integer coefficients of a, as the adjoint passes them.
+            a_int = {k: rng.choice((-2, -1, 1, 3)) for k in a.coeffs}
+            for lhs in (a.coeffs, a_int):
+                start = {k: _random_coeff(rng) for k in range(-3, 3)}
+                got, ref = dict(start), dict(start)
+                psido._leibniz_into(got, lhs, b.coeffs, 3)
+                _reference_leibniz_into(ref, lhs, b.coeffs, 3)
+                assert _typed(PsiDO(got, 3)) == _typed(PsiDO(ref, 3))
