@@ -22,7 +22,9 @@ sums those over a common denominator and divides once at the end.
 The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
 recorded whole and reused by later walks, and a reducer build computes each
-key's priority once.
+key's priority once.  The key kernels do no more than their inputs need: a
+product skips empty factor tuples and inserts a one-factor side by bisection,
+and a one-order jet shift looks only at the shifted factor's neighbour.
 """
 
 from __future__ import annotations
@@ -60,14 +62,22 @@ def _fr(c):
 
 def _merge_factors(a, b):
     """Multiply two sorted factor tuples (powers add)."""
-    if not a:
-        return b
-    if not b:
-        return a
+    if len(b) == 1:
+        return _insert_factor(a, *b[0])
+    if len(a) == 1:
+        return _insert_factor(b, *a[0])
     d = dict(a)
     for k, p in b:
         d[k] = d.get(k, 0) + p
-    return tuple(sorted((k, p) for k, p in d.items() if p))
+    return tuple(sorted(d.items()))
+
+
+def _insert_factor(factors, f, p):
+    """The sorted factor tuple times f**p."""
+    i = bisect_left(factors, (f,))
+    if i < len(factors) and factors[i][0] == f:
+        return factors[:i] + ((f, factors[i][1] + p),) + factors[i + 1:]
+    return factors[:i] + ((f, p),) + factors[i:]
 
 
 def _addto(acc: dict, items, c=None) -> None:
@@ -76,10 +86,16 @@ def _addto(acc: dict, items, c=None) -> None:
     Keys whose coefficient cancels are dropped.
     """
     get = acc.get
+    if c is None:
+        for k, v in items:
+            nv = get(k, 0) + v
+            if nv:
+                acc[k] = nv
+            elif k in acc:
+                del acc[k]
+        return
     for k, v in items:
-        if c is not None:
-            v = c * v
-        nv = get(k, 0) + v
+        nv = get(k, 0) + c * v
         if nv:
             acc[k] = nv
         elif k in acc:
@@ -96,20 +112,30 @@ def _drop_one(factors, i):
 
 def _shift_order(jets, i, delta):
     """The sorted jet tuple with one power of factor i moved delta orders."""
-    (sym, order), _ = jets[i]
-    rest = _drop_one(jets, i)
+    (sym, order), p = jets[i]
     jet = (sym, order + delta)
-    j = bisect_left(rest, (jet,))
-    if j < len(rest) and rest[j][0] == jet:
-        return rest[:j] + ((jet, rest[j][1] + 1),) + rest[j + 1:]
-    return rest[:j] + ((jet, 1),) + rest[j:]
+    if delta != 1 and delta != -1:
+        return _insert_factor(_drop_one(jets, i), jet, 1)
+    # A jet one order away can only be factor i's neighbour on that side.
+    kept = (((sym, order), p - 1),) if p > 1 else ()
+    j = i + delta
+    if 0 <= j < len(jets) and jets[j][0] == jet:
+        moved = ((jet, jets[j][1] + 1),)
+        if delta == 1:
+            return jets[:i] + kept + moved + jets[j + 1:]
+        return jets[:j] + moved + kept + jets[i + 1:]
+    if delta == 1:
+        return jets[:i] + kept + ((jet, 1),) + jets[j:]
+    return jets[:i] + ((jet, 1),) + kept + jets[i + 1:]
 
 
 def _key_mul(k1, k2):
+    j1, a1, s1 = k1
+    j2, a2, s2 = k2
     return (
-        _merge_factors(k1[0], k2[0]),
-        _merge_factors(k1[1], k2[1]),
-        k1[2] + k2[2],
+        _merge_factors(j1, j2) if j1 and j2 else j1 or j2,
+        _merge_factors(a1, a2) if a1 and a2 else a1 or a2,
+        s1 + s2,
     )
 
 
@@ -140,20 +166,15 @@ def _jet_degree(jets) -> int:
     return sum(p for _, p in jets)
 
 
-def _jet_symdeg(jets):
-    d = {}
-    for (sym, _), p in jets:
-        d[sym] = d.get(sym, 0) + p
-    return tuple(sorted(d.items()))
-
-
 @lru_cache(maxsize=None)
 def _atom_depth(atom_key) -> int:
     return 1 + max((_atom_depth(a) for a, _ in atom_key[1]), default=0)
 
 
 def _key_atom_depths(key):
-    jets, atoms, scale = key
+    atoms = key[1]
+    if not atoms:
+        return ()
     depths = []
     for akey, p in atoms:
         depths.extend([_atom_depth(akey)] * p)
@@ -311,18 +332,6 @@ class DiffPoly:
 
     def atom_part(self) -> "DiffPoly":
         return DiffPoly(tuple((k, c) for k, c in self.terms if k[1]))
-
-    def constant_term(self):
-        for k, c in self.terms:
-            if k == _EMPTY_KEY:
-                return c
-        return 0
-
-    def constant_part(self) -> "DiffPoly":
-        """Terms in the kernel of d_x: no jets, no atoms, any scale power."""
-        return DiffPoly(
-            tuple((k, c) for k, c in self.terms if not k[0] and not k[1])
-        )
 
     def display_terms(self):
         return sorted(self.terms, key=_display_key)
@@ -610,7 +619,13 @@ def _factor_sub(haystack, needle):
 def _class_of(key):
     """(symbol degrees, jet weight, lam power, atoms): the closure's class."""
     jets, atoms, scale = key
-    return _jet_symdeg(jets), _jet_weight(jets), scale, atoms
+    # The jets are sorted, so the degrees come out in symbol order.
+    degs = {}
+    weight = 0
+    for (sym, order), p in jets:
+        degs[sym] = degs.get(sym, 0) + p
+        weight += order * p
+    return tuple(degs.items()), weight, scale, atoms
 
 
 # class -> (candidates, visited monomials) of a finished walk, as frozensets

@@ -56,6 +56,16 @@ def random_poly(
     return out
 
 
+def constant_term(p):
+    """The coefficient of p's term with no jets, atoms or lam (0 if none)."""
+    return dict(p.terms).get(((), (), 0), 0)
+
+
+def constant_part(p):
+    """The terms of p in the kernel of d_x: no jets, no atoms, any lam power."""
+    return DiffPoly(tuple((k, c) for k, c in p.terms if not k[0] and not k[1]))
+
+
 def random_local_poly(rng, **kw):
     kw.setdefault("allow_atoms", False)
     return random_poly(rng, **kw)

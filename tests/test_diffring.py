@@ -1,5 +1,6 @@
 """Ring arithmetic, differentiation, and the integration engine."""
 
+import bisect
 import math
 import os
 import random
@@ -30,7 +31,14 @@ from cckp.grammar import parse_poly, poly_from_json, poly_json, poly_text
 from cckp.hierarchy import flow, lax_power, prolong_flow
 from cckp.psido import residue
 
-from conftest import P, SEED, random_local_poly, random_poly
+from conftest import (
+    P,
+    SEED,
+    constant_part,
+    constant_term,
+    random_local_poly,
+    random_poly,
+)
 
 Q = DiffPoly.jet("q")
 R = DiffPoly.jet("r")
@@ -48,6 +56,14 @@ def _reduce(reducer, vec):
     work = {k: int(c * den) for k, c in vec.items()}
     den, pre, res = reducer.split(work, den)
     return diffring._divided(dict(pre), den), diffring._divided(dict(res), den)
+
+
+def _symdeg(jets):
+    """The sorted (symbol, degree) pairs of a jet tuple, by a dict and a sort."""
+    d = {}
+    for (sym, _), p in jets:
+        d[sym] = d.get(sym, 0) + p
+    return tuple(sorted(d.items()))
 
 
 def _nf_atom(key):
@@ -110,7 +126,6 @@ class TestCoefficientTypes:
         assert _coeff_types(Fraction(1, 2) * p * 2) == {int}
         assert _coeff_types(Fraction(1, 2) * RX + Fraction(1, 2) * RX) == {int}
         assert _coeff_types(Fraction(1, 2) * Q) == {Fraction}
-        assert DiffPoly.zero().constant_term() == 0
 
 
 class TestDerivative:
@@ -178,7 +193,7 @@ class TestIntegrate:
         rng = random.Random(SEED)
         for _ in range(200):
             p = random_poly(rng, allow_atoms=True, allow_const=False)
-            p = p - DiffPoly.const(p.constant_term())
+            p = p - DiffPoly.const(constant_term(p))
             local, rho = integrate(d_x(p))
             assert rho.is_zero
             assert local == p
@@ -203,7 +218,7 @@ class TestIntegrate:
         for _ in range(100):
             p = random_poly(rng, allow_atoms=True, allow_scale=True)
             h = random_poly(rng, allow_atoms=True, allow_scale=True)
-            h = h - h.constant_part()
+            h = h - constant_part(h)
             lhs = antiderivative(p + d_x(h), nesting_limit=4)
             rhs = antiderivative(p, nesting_limit=4) + h
             assert lhs == rhs
@@ -292,7 +307,7 @@ class TestEulerOperator:
             for s in euler:
                 assert _euler(rho, s) == euler[s]
             is_exact = all(e.is_zero for e in euler.values())
-            assert (rho == p.constant_part()) == is_exact
+            assert (rho == constant_part(p)) == is_exact
             exact += is_exact
             inexact += not is_exact
         assert exact > 20 and inexact > 20
@@ -600,7 +615,7 @@ class TestCandidates:
         classes = {}
         for key in cached:
             jets, atoms, scale = key
-            symdeg = diffring._jet_symdeg(jets)
+            symdeg = _symdeg(jets)
             cls = (symdeg, diffring._jet_weight(jets), atoms, scale)
             classes.setdefault(cls, []).append(key)
         atom_classes = [cls for cls in classes if cls[2]]
@@ -646,10 +661,121 @@ class TestCandidates:
                 for delta in (1, -1, rng.randint(2, 9)):
                     if order + delta < 0:
                         continue
-                    expected = diffring._merge_factors(
+                    expected = _reference_merge_factors(
                         diffring._drop_one(jets, i), (((sym, order + delta), 1),)
                     )
                     assert diffring._shift_order(jets, i, delta) == expected
+
+
+def _reference_merge_factors(a, b):
+    """The product of two sorted factor tuples by a dict and a sort."""
+    d = dict(a)
+    for k, p in b:
+        d[k] = d.get(k, 0) + p
+    return tuple(sorted((k, p) for k, p in d.items() if p))
+
+
+def _reference_shift_order(jets, i, delta):
+    """Drop one power of factor i, then bisect the shifted jet back in."""
+    (sym, order), _ = jets[i]
+    rest = diffring._drop_one(jets, i)
+    jet = (sym, order + delta)
+    j = bisect.bisect_left(rest, (jet,))
+    if j < len(rest) and rest[j][0] == jet:
+        return rest[:j] + ((jet, rest[j][1] + 1),) + rest[j + 1:]
+    return rest[:j] + ((jet, 1),) + rest[j:]
+
+
+def _random_factors(rng, pool, most):
+    """A sorted factor tuple of up to `most` distinct factors from pool."""
+    picked = rng.sample(pool, rng.randint(0, min(most, len(pool))))
+    return tuple(sorted((f, rng.randint(1, 3)) for f in picked))
+
+
+_JET_POOL = [(sym, order) for sym in "qru" for order in range(4)]
+
+
+def _atom_pool():
+    a = _single_key(antiderivative(Q * R))[1][0][0]
+    b = _single_key(antiderivative(Q * Q))[1][0][0]
+    nested = _single_key(antiderivative(R * R * antiderivative(Q * Q)))[1][0][0]
+    return [a, b, nested, (((("r", 0), 2),), (), 0)]
+
+
+class TestKeyKernels:
+    """The product, shift and class kernels against a plain dict-and-sort
+    merge, a drop-then-bisect shift and a dict-and-sort degree count."""
+
+    def test_merge_factors_and_key_mul_match_the_reference(self):
+        rng = random.Random(SEED)
+        atom_pool = _atom_pool()
+        shapes = set()
+        for _ in range(2000):
+            pool, most = rng.choice(((_JET_POOL, 4), (atom_pool, 3)))
+            a = _random_factors(rng, pool, most)
+            b = _random_factors(rng, pool, most)
+            shared = bool({f for f, _ in a} & {f for f, _ in b})
+            shapes.add((min(len(a), 2), min(len(b), 2), shared))
+            assert diffring._merge_factors(a, b) == _reference_merge_factors(a, b)
+            ja, jb = (_random_factors(rng, _JET_POOL, 4) for _ in "ab")
+            sa, sb = rng.randint(-2, 2), rng.randint(-2, 2)
+            assert diffring._key_mul((ja, a, sa), (jb, b, sb)) == (
+                _reference_merge_factors(ja, jb),
+                _reference_merge_factors(a, b),
+                sa + sb,
+            )
+        # Empty sides, one-factor sides (alone and against longer tuples)
+        # and shared factors all occurred.
+        expected = (
+            (0, 0, False),
+            (0, 2, False),
+            (1, 1, True),
+            (1, 2, True),
+            (2, 1, False),
+            (2, 2, True),
+        )
+        assert set(expected) <= shapes
+
+    def test_shift_order_matches_the_reference(self):
+        rng = random.Random(SEED)
+        cases = set()
+        for _ in range(1000):
+            # One or two symbols over few orders, so neighbours often exist.
+            syms = rng.choice(("q", "qr"))
+            pool = [(sym, order) for sym in syms for order in range(4)]
+            jets = _random_factors(rng, pool, 5)
+            if not jets:
+                continue
+            for i, ((sym, order), power) in enumerate(jets):
+                for delta in (1, -1, rng.randint(2, 5), -rng.randint(2, 3)):
+                    if order + delta < 0:
+                        continue
+                    got = diffring._shift_order(jets, i, delta)
+                    assert got == _reference_shift_order(jets, i, delta)
+                    j = i + delta
+                    target = (sym, order + delta)
+                    neighbour = 0 <= j < len(jets) and jets[j][0] == target
+                    end = i in (0, len(jets) - 1)
+                    step = delta if abs(delta) == 1 else 2
+                    cases.add((step, power > 1, neighbour, end))
+        for delta in (1, -1):
+            for power in (False, True):
+                for neighbour in (False, True):
+                    for end in (False, True):
+                        assert (delta, power, neighbour, end) in cases
+        assert any(case[0] == 2 for case in cases)
+
+    def test_class_of_matches_degrees_and_weight(self):
+        rng = random.Random(SEED)
+        atom_pool = _atom_pool()
+        for _ in range(500):
+            jets = _random_factors(rng, _JET_POOL, 5)
+            atoms = _random_factors(rng, atom_pool, 2)
+            scale = rng.randint(-2, 2)
+            weight = sum(order * p for (_, order), p in jets)
+            assert diffring._class_of((jets, atoms, scale)) == (
+                _symdeg(jets), weight, scale, atoms
+            )
 
 
 def _check_reducer_rows(reducer):
@@ -690,7 +816,7 @@ def _reference_grouped_integrate(p):
     for key, coeff in p.terms:
         jets, _, scale = key
         weight = diffring._jet_weight(jets)
-        groups.setdefault((diffring._jet_symdeg(jets), weight, scale), {})[key] = coeff
+        groups.setdefault((_symdeg(jets), weight, scale), {})[key] = coeff
     f_total = {}
     rho_total = {}
     for (symdeg, weight, scale), vec in groups.items():
@@ -815,7 +941,7 @@ def _reference_nf_any(key):
     weight = diffring._jet_weight(jets)
     if weight < 1:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
-    reducer = diffring._local_reducer(diffring._jet_symdeg(jets), weight, scale)
+    reducer = diffring._local_reducer(_symdeg(jets), weight, scale)
     pre, res = _reduce(reducer, {key: Fraction(1)})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 
@@ -912,7 +1038,7 @@ def _chain_classes(top):
     `_class_start` order, and those monomials."""
     cached = _fill_atom_cache(top)
     classes = {
-        (diffring._jet_symdeg(jets), diffring._jet_weight(jets), atoms, scale)
+        (_symdeg(jets), diffring._jet_weight(jets), atoms, scale)
         for jets, atoms, scale in cached
     }
     return sorted(classes), sorted(cached)

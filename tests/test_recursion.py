@@ -165,6 +165,13 @@ class TestReduction:
             current = nl_apply(reduce_matrix(), current)
             assert current == substitute_r_to_q(flow(n).q_t), n
 
+    @pytest.mark.slow
+    def test_chain_reaches_t13(self):
+        # One application past the chain above, at the frontier.
+        reduced_t11 = substitute_r_to_q(flow(11).q_t)
+        reduced_t13 = substitute_r_to_q(flow(13).q_t)
+        assert nl_apply(reduce_matrix(), reduced_t11) == reduced_t13
+
     @pytest.mark.parametrize("m", (1, 3))
     def test_commutes_with_step(self, m):
         fp = flow(m)
