@@ -816,22 +816,20 @@ def prolong_t(
     atom_cache = {}
 
     def rec(poly: DiffPoly) -> DiffPoly:
-        out = DiffPoly.zero()
+        acc = {}
         for key, c in poly.terms:
             jets, atoms, scale = key
             for i, ((sym, order), power) in enumerate(jets):
-                base_key = (_drop_one(jets, i), atoms, scale)
-                base = DiffPoly(((base_key, c * power),))
-                out = out + base * flow_deriv(sym, order)
+                base = (((_drop_one(jets, i), atoms, scale), c * power),)
+                _products_into(acc, base, flow_deriv(sym, order).terms)
             for i, (akey, power) in enumerate(atoms):
                 if akey not in atom_cache:
                     atom_cache[akey] = antiderivative(
                         rec(DiffPoly.monomial(akey)), nesting_limit
                     )
-                base_key = (jets, _drop_one(atoms, i), scale)
-                base = DiffPoly(((base_key, c * power),))
-                out = out + base * atom_cache[akey]
-        return out
+                base = (((jets, _drop_one(atoms, i), scale), c * power),)
+                _products_into(acc, base, atom_cache[akey].terms)
+        return DiffPoly._from_dict(acc)
 
     return rec(p)
 
@@ -849,25 +847,22 @@ def apply_symbol_map(
     Atom integrands are rebuilt after the substitution: any integrand that
     becomes reducible is resolved through `antiderivative`.
     """
-    out = DiffPoly.zero()
+    acc = {}
     for key, c in p.terms:
         jets, atoms, scale = key
         new_jets = {}
         for (sym, order), power in jets:
-            nsym = mapping.get(sym, sym)
-            k = (nsym, order)
+            k = (mapping.get(sym, sym), order)
             new_jets[k] = new_jets.get(k, 0) + power
-        term = DiffPoly(
-            (((tuple(sorted(new_jets.items())), (), scale), c),)
-        )
+        term = DiffPoly((((tuple(sorted(new_jets.items())), (), scale), c),))
         for akey, power in atoms:
             rebuilt = antiderivative(
                 apply_symbol_map(DiffPoly.monomial(akey), mapping, nesting_limit),
                 nesting_limit,
             )
             term = term * rebuilt ** power
-        out = out + term
-    return out
+        _addto(acc, term.terms)
+    return DiffPoly._from_dict(acc)
 
 
 def substitute_r_to_q(
@@ -885,39 +880,32 @@ def swap_q_r(p: DiffPoly, nesting_limit: int = DEFAULT_NESTING_LIMIT) -> DiffPol
 # -- scaling -------------------------------------------------------------------
 
 
-def _scale_key_q_to_u(key):
-    """q-jets renamed to u with one lam per q-degree; returns (key, extra exp)."""
-    jets, atoms, scale = key
-    new_jets = []
-    exponent = 0
-    for (sym, order), power in jets:
-        if sym == "q":
-            new_jets.append((("u", order), power))
-            exponent += power
-        elif sym == "u":
-            new_jets.append(((sym, order), power))
-        else:
-            raise OddScaleResidue(
-                "scaling substitution applies only after r has been "
-                "eliminated (found an r jet)"
-            )
-    new_atoms = []
-    for akey, power in atoms:
-        sub_key, sub_exp = _scale_key_q_to_u(akey)
-        new_atoms.append((sub_key, power))
-        exponent += sub_exp * power
-    nk = (tuple(sorted(new_jets)), tuple(sorted(new_atoms)), scale)
-    return nk, exponent
+def _q_degree(key) -> int:
+    """Degree of a monomial in q, counted into its atoms' integrands."""
+    jets, atoms, _ = key
+    if any(sym == "r" for (sym, _), _ in jets):
+        raise OddScaleResidue(
+            "scaling substitution applies only after r has been "
+            "eliminated (found an r jet)"
+        )
+    degree = sum(power for (sym, _), power in jets if sym == "q")
+    return degree + sum(_q_degree(akey) * power for akey, power in atoms)
 
 
 def scale_q_to_u(p: DiffPoly) -> DiffPoly:
-    """Substitute q^(k) -> lam * u^(k), keeping lam exponents on monomials."""
-    d = {}
-    for key, c in p.terms:
-        nk, e = _scale_key_q_to_u(key)
-        nk = (nk[0], nk[1], nk[2] + e)
-        d[nk] = d.get(nk, 0) + c
-    return DiffPoly._from_dict(d)
+    """Substitute q^(k) -> lam * u^(k), keeping lam exponents on monomials.
+
+    Each term is renamed through `apply_symbol_map`, which returns atoms in
+    canonical form, and multiplied by lam to its q-degree, atoms included.
+    All degrees are read first: an r jet raises `OddScaleResidue` before
+    any integration runs.
+    """
+    degrees = [_q_degree(key) for key, _ in p.terms]
+    acc = {}
+    for (key, c), degree in zip(p.terms, degrees):
+        renamed = apply_symbol_map(DiffPoly(((key, c),)), {"q": "u"})
+        _products_into(acc, renamed.terms, DiffPoly.lam(degree).terms)
+    return DiffPoly._from_dict(acc)
 
 
 def shift_lambda(p: DiffPoly, shift: int) -> DiffPoly:
@@ -942,13 +930,10 @@ def resolve_lambda(p: DiffPoly, lambda_sq) -> DiffPoly:
     return DiffPoly._from_dict(d)
 
 
-def scale_substitute(p: DiffPoly, lambda_sq, divide: bool = True) -> DiffPoly:
-    """Model q = lam*u exactly: substitute, divide once by lam, resolve lam^2.
+def scale_substitute(p: DiffPoly, lambda_sq) -> DiffPoly:
+    """Model q = lam*u on a flow: substitute, divide once by lam, resolve lam^2.
 
-    With `divide` (the flow convention) every term must end up with an even
-    scale exponent, which requires odd q-degree throughout the input.
+    Every term must end up with an even scale exponent, which requires odd
+    q-degree throughout the input; `OddScaleResidue` is raised otherwise.
     """
-    out = scale_q_to_u(p)
-    if divide:
-        out = shift_lambda(out, -1)
-    return resolve_lambda(out, lambda_sq)
+    return resolve_lambda(shift_lambda(scale_q_to_u(p), -1), lambda_sq)

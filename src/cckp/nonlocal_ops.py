@@ -338,58 +338,35 @@ def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
     Matches, with equal weights, a chain ending in [d^-1, A*k] against one
     ending in [d^-1, integrand(A), d^-1, k]; both are replaced by the single
     chain [A, d^-1, k].  This is the by-parts collapse used to put the reduced
-    operator into its short form.
+    operator into its short form.  Partners are found in one (weight, chain)
+    index; a term joins at most one pair, through its first free partner.
     """
-    terms = list(operator.terms)
+    terms = operator.terms
+    index = {(w, _chain_key(t.chain)): j for j, (w, t) in enumerate(terms)}
+    used = set()
     result = []
-    used = [False] * len(terms)
-    for i, (wi, ti) in enumerate(terms):
-        if used[i]:
+    for i, (w, t) in enumerate(terms):
+        if i in used:
             continue
-        chain = ti.chain
-        match = None
-        if len(chain) >= 2 and chain[-2] is DXINV and _is_mul(chain[-1]):
-            payload = chain[-1]
-            if len(payload.terms) == 1:
-                (jets, atoms, scale), coeff = payload.terms[0]
-                for akey, power in atoms:
-                    if power != 1:
-                        continue
-                    remaining = tuple(
-                        (k, p) for k, p in atoms if k != akey
-                    )
-                    k_poly = DiffPoly(
-                        (((jets, remaining, scale), coeff),)
-                    )
-                    integrand = DiffPoly.monomial(akey)
-                    partner = IntDiffTerm(
-                        chain[:-2] + (DXINV, integrand, DXINV, k_poly)
-                    )
-                    pkey = _chain_key(partner.chain)
-                    for j, (wj, tj) in enumerate(terms):
-                        if used[j] or j == i:
-                            continue
-                        if wj == wi and _chain_key(tj.chain) == pkey:
-                            atom_poly = DiffPoly.monomial(
-                                ((), ((akey, 1),), 0)
-                            )
-                            match = (
-                                j,
-                                IntDiffTerm(
-                                    chain[:-2]
-                                    + (atom_poly, DXINV, k_poly)
-                                ),
-                            )
-                            break
-                    if match:
-                        break
-        if match:
-            j, new_term = match
-            used[i] = used[j] = True
-            result.append((wi, new_term))
-        else:
-            used[i] = True
-            result.append((wi, ti))
+        used.add(i)
+        head, payload = t.chain[:-2], t.chain[-1]
+        if (
+            len(t.chain) >= 2 and t.chain[-2] is DXINV
+            and _is_mul(payload) and len(payload.terms) == 1
+        ):
+            (((jets, atoms, scale), coeff),) = payload.terms
+            for akey in (a for a, power in atoms if power == 1):
+                remaining = tuple((k, p) for k, p in atoms if k != akey)
+                k_poly = DiffPoly((((jets, remaining, scale), coeff),))
+                # Already normal: a d^-1 stands between any two multipliers.
+                partner = head + (DXINV, DiffPoly.monomial(akey), DXINV, k_poly)
+                j = index.get((w, _chain_key(partner)))
+                if j is not None and j not in used:
+                    used.add(j)
+                    atom = DiffPoly.monomial(((), ((akey, 1),), 0))
+                    t = IntDiffTerm(head + (atom, DXINV, k_poly))
+                    break
+        result.append((w, t))
     return IntDiffOperator(result)
 
 

@@ -65,10 +65,6 @@ class PsiDO:
         return cls({}, trunc_depth)
 
     @classmethod
-    def identity(cls) -> "PsiDO":
-        return cls({0: DiffPoly.one()})
-
-    @classmethod
     def d(cls, order: int = 1) -> "PsiDO":
         return cls({order: DiffPoly.one()})
 

@@ -22,6 +22,7 @@ from cckp.diffring import (
     d_x,
     integrate,
     prolong_t,
+    scale_q_to_u,
     scale_substitute,
     substitute_r_to_q,
     swap_q_r,
@@ -425,6 +426,46 @@ class TestSubstitutions:
             p = random_poly(rng, allow_atoms=True)
             assert swap_q_r(swap_q_r(p)) == p
 
+    def test_atoms_stay_canonical_randomized(self):
+        # Every atom a substitution leaves behind, nested ones included, is
+        # one that NonlocalAtom accepts: its integrand is monic and reduced.
+        rng = random.Random(SEED)
+        seen = 0
+        for _ in range(60):
+            p = random_poly(rng, allow_atoms=True)
+            qu = _random_qu_with_atoms(rng)
+            for out in (substitute_r_to_q(p), swap_q_r(p), scale_q_to_u(qu)):
+                seen += _assert_atoms_canonical(out)
+        assert seen > 50
+
+
+def _random_qu_with_atoms(rng):
+    """A polynomial in q and u, with atoms (some nested) whose integrands
+    mix q and u; no r, so that scaling applies."""
+    out = random_local_poly(rng, symbols=("q", "u"), max_terms=2)
+    for _ in range(rng.randint(1, 2)):
+        integrand = random_local_poly(
+            rng, symbols=("q", "u"), max_terms=2, allow_const=False
+        )
+        if rng.random() < 0.3:
+            integrand = DiffPoly.jet(rng.choice("qu")) * antiderivative(
+                random_local_poly(rng, symbols=("q", "u"), max_terms=1,
+                                  allow_const=False)
+            )
+        cofactor = random_local_poly(rng, symbols=("q", "u"), max_terms=1)
+        out = out + cofactor * antiderivative(integrand)
+    return out
+
+
+def _assert_atoms_canonical(p) -> int:
+    """Build a NonlocalAtom for every atom in p, recursively; count them."""
+    count = 0
+    for (_, atoms, _), _ in p.terms:
+        for akey, _ in atoms:
+            atom = NonlocalAtom(DiffPoly.monomial(akey))
+            count += 1 + _assert_atoms_canonical(atom.integrand)
+    return count
+
 
 class TestScale:
     def test_third_order_flow(self):
@@ -455,6 +496,26 @@ class TestScale:
     def test_r_rejected(self):
         with pytest.raises(OddScaleResidue):
             scale_substitute(Q * R * R, Fraction(1, 12))
+
+    def test_renamed_atom_is_canonical(self):
+        # I(q*u') is an atom, but once q becomes u its integrand u*u' is
+        # exact: the scaled form is local.
+        atom = antiderivative(Q * DiffPoly.jet("u", 1))
+        assert atom.atom_part() == atom
+        u = DiffPoly.jet("u")
+        assert scale_q_to_u(atom) == Fraction(1, 2) * u * u * DiffPoly.lam()
+
+    def test_r_rejected_before_integration(self, monkeypatch):
+        # The r jet sorts after the atom term, but it is found before the
+        # atom's integrand is renamed and integrated again.
+        p = antiderivative(Q * DiffPoly.jet("u", 1)) + R
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("antiderivative ran before the r check")
+
+        monkeypatch.setattr(diffring, "antiderivative", no_integration)
+        with pytest.raises(OddScaleResidue):
+            scale_q_to_u(p)
 
 
 def _reference_proper_divisors(key):

@@ -13,6 +13,8 @@ from cckp.nonlocal_ops import (
     DXINV,
     IntDiffOperator,
     IntDiffTerm,
+    _chain_key,
+    _is_mul,
     apply,
     collapse_exact_pairs,
     distribute,
@@ -316,3 +318,171 @@ def test_factored_apply_matches_termwise_on_the_matrix():
             (mat.r21, pair.q_t), (mat.r22, pair.r_t),
         ):
             assert apply(entry, f) == _termwise(entry, f)
+
+
+def _reference_collapse_exact_pairs(operator):
+    """The nested scan: every candidate searches all terms for its partner."""
+    terms = list(operator.terms)
+    result = []
+    used = [False] * len(terms)
+    for i, (wi, ti) in enumerate(terms):
+        if used[i]:
+            continue
+        chain = ti.chain
+        match = None
+        if len(chain) >= 2 and chain[-2] is DXINV and _is_mul(chain[-1]):
+            payload = chain[-1]
+            if len(payload.terms) == 1:
+                (jets, atoms, scale), coeff = payload.terms[0]
+                for akey, power in atoms:
+                    if power != 1:
+                        continue
+                    remaining = tuple(
+                        (k, p) for k, p in atoms if k != akey
+                    )
+                    k_poly = DiffPoly(
+                        (((jets, remaining, scale), coeff),)
+                    )
+                    integrand = DiffPoly.monomial(akey)
+                    partner = IntDiffTerm(
+                        chain[:-2] + (DXINV, integrand, DXINV, k_poly)
+                    )
+                    pkey = _chain_key(partner.chain)
+                    for j, (wj, tj) in enumerate(terms):
+                        if used[j] or j == i:
+                            continue
+                        if wj == wi and _chain_key(tj.chain) == pkey:
+                            atom_poly = DiffPoly.monomial(
+                                ((), ((akey, 1),), 0)
+                            )
+                            match = (
+                                j,
+                                IntDiffTerm(
+                                    chain[:-2]
+                                    + (atom_poly, DXINV, k_poly)
+                                ),
+                            )
+                            break
+                    if match:
+                        break
+        if match:
+            j, new_term = match
+            used[i] = used[j] = True
+            result.append((wi, new_term))
+        else:
+            used[i] = True
+            result.append((wi, ti))
+    return IntDiffOperator(result)
+
+
+_Q2 = DiffPoly.jet("q", 2)
+
+
+def _by_parts_pair(head, atom, k):
+    """The candidate [head, d^-1, A*k] and its partner
+    [head, d^-1, integrand(A), d^-1, k]."""
+    (((_, ((akey, _),), _), _),) = atom.terms
+    return (
+        IntDiffTerm(list(head) + [DXINV, atom * k]),
+        IntDiffTerm(list(head) + [DXINV, DiffPoly.monomial(akey), DXINV, k]),
+    )
+
+
+def _random_pair_operator(rng):
+    """By-parts pairs of equal and unequal weight, power-2 atoms, partners
+    that are candidates themselves, and chains ending in d^-1 d."""
+    heads = [[], [Q], [DXINV], [Q, DXINV], [DX], [R, DX]]
+    i_qq, i_qr, i_rr = (
+        antiderivative(a * b) for a, b in ((Q, Q), (Q, R), (R, R))
+    )
+    atoms = [i_qq, i_qr, i_rr]
+    # Each k, with the atom and cofactor it carries: its partner is then a
+    # candidate too.
+    q2qx = Q * Q * QX
+    ks = [
+        (Q, None), (2 * Q, None), (Q * QX, None), (R, None), (_Q2, None),
+        (Q * i_qr, (i_qr, Q)), (q2qx * i_rr, (i_rr, q2qx)),
+    ]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        head = rng.choice(heads)
+        atom = rng.choice(atoms)
+        k, inner = rng.choice(ks)
+        w = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+        candidate, partner = _by_parts_pair(head, atom, k)
+        if rng.random() < 0.2:
+            candidate = IntDiffTerm(head + [DXINV, atom * atom * k])
+        terms.append((w, candidate))
+        w = w if rng.random() < 0.7 else w + 1
+        terms.append((w, partner))
+        if inner and rng.random() < 0.5:
+            _, partner2 = _by_parts_pair(partner.chain[:-2], *inner)
+            terms.append((w, partner2))
+        if rng.random() < 0.3:
+            terms.append((w, IntDiffTerm(head + [DXINV, DX])))
+        if rng.random() < 0.2:
+            terms.append((w, IntDiffTerm(head + [DXINV, atom * k + Q])))
+    return terms
+
+
+def test_collapse_matches_reference_randomized():
+    rng = random.Random(SEED)
+    collapsed = unchanged = 0
+    for _ in range(200):
+        op = IntDiffOperator(_random_pair_operator(rng))
+        out = collapse_exact_pairs(op)
+        assert out == _reference_collapse_exact_pairs(op)
+        if out == op:
+            unchanged += 1
+        else:
+            collapsed += 1
+    assert collapsed > 20 and unchanged > 20
+
+
+def _edge_cases(name):
+    i_qq, i_rr = antiderivative(Q * Q), antiderivative(R * R)
+    c, p = _by_parts_pair([Q], i_qq, Q)
+    # p2 sorts before c2 and is first matched with its own partner p2_own;
+    # c2 then goes on to the partner of its second atom, p2_alt.
+    q2qx = Q * Q * QX
+    c2, p2 = _by_parts_pair([], i_qq, q2qx * i_rr)
+    _, p2_own = _by_parts_pair(p2.chain[:-2], i_rr, q2qx)
+    _, p2_alt = _by_parts_pair([], i_rr, q2qx * i_qq)
+    # Both atoms of c3 have a partner; only the first in atom order is used.
+    c3, p3_qq = _by_parts_pair([], i_qq, Q * i_rr)
+    _, p3_rr = _by_parts_pair([], i_rr, Q * i_qq)
+    return {
+        "equal weights": [(2, c), (2, p)],
+        "unequal weights": [(2, c), (3, p)],
+        "power-2 atom": [
+            (1, term(DXINV, Q * i_qq * i_qq)),
+            (1, term(DXINV, Q * Q, DXINV, Q * i_qq)),
+        ],
+        "d^-1 d tail": [(1, term(Q, DXINV, DX)), (1, c), (1, p)],
+        "partner used earlier": [(1, c2), (1, p2), (1, p2_own)],
+        "second atom's partner": [(1, c2), (1, p2), (1, p2_own), (1, p2_alt)],
+        "first atom's partner": [(1, c3), (1, p3_qq), (1, p3_rr)],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    (
+        "equal weights", "unequal weights", "power-2 atom", "d^-1 d tail",
+        "partner used earlier", "second atom's partner",
+        "first atom's partner",
+    ),
+)
+def test_collapse_matches_reference_on_edge_cases(name):
+    op = IntDiffOperator(_edge_cases(name))
+    assert collapse_exact_pairs(op) == _reference_collapse_exact_pairs(op)
+
+
+def test_collapse_matches_reference_on_the_reduced_row():
+    # The operator reduce_matrix() hands to the collapse.
+    mat = build_matrix()
+    row = substitute_r_to_q(mat.r11) + substitute_r_to_q(mat.r12)
+    op = distribute(eliminate_trailing_dx(distribute(row)))
+    out = collapse_exact_pairs(op)
+    assert out == _reference_collapse_exact_pairs(op)
+    assert len(out.terms) < len(op.terms)

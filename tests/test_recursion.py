@@ -11,7 +11,7 @@ from cckp.diffring import (
     substitute_r_to_q,
     swap_q_r,
 )
-from cckp.errors import ResidualNonlocal
+from cckp.errors import OddScaleResidue, ResidualNonlocal
 from cckp.hierarchy import FlowPair, bn, flow
 from cckp.nonlocal_ops import (
     DX,
@@ -210,6 +210,19 @@ class TestScaling:
         assert scale_operator(op, 4) == IntDiffOperator(
             ((Fraction(1, 4), term(u * u)),)
         )
+
+    @pytest.mark.parametrize(
+        "chain",
+        (
+            (Q + Q * Q,),  # payload not homogeneous in q
+            (Q, DXINV),  # odd q-degree along the chain
+            (Q * R,),  # r left in a payload
+        ),
+        ids=("inhomogeneous", "odd-chain", "r-payload"),
+    )
+    def test_unscalable_operators_are_rejected(self, chain):
+        with pytest.raises(OddScaleResidue):
+            scale_operator(IntDiffOperator(((1, term(*chain)),)), 4)
 
     def test_float_scale_is_rejected(self):
         # 1/12 as a float is a binary fraction; only exact rationals scale.
