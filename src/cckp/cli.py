@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import hierarchy, recursion
 from .diffring import DiffPoly, scale_substitute, substitute_r_to_q
@@ -290,7 +289,7 @@ def _suite_reduction(config: RunConfig, steps: dict):
         recursion.scaled_mkdv_operator(),
         scaled_literal,
     )
-    lam_sq = Fraction(1, 12)
+    lam_sq = recursion.LAMBDA_SQ
     for m in sources:
         n = m + 2
         word = _ORDINALS.get(n, f"t_{n}")

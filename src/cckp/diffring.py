@@ -791,12 +791,7 @@ def antiderivative(
 # -- prolongation along a flow ------------------------------------------------
 
 
-def prolong_t(
-    p: DiffPoly,
-    q_t: DiffPoly,
-    r_t: DiffPoly,
-    nesting_limit: int = DEFAULT_NESTING_LIMIT,
-) -> DiffPoly:
+def prolong_t(p: DiffPoly, q_t: DiffPoly, r_t: DiffPoly) -> DiffPoly:
     """Total t-derivative given the flow of q and r.
 
     Jet variables differentiate as d_t(s^(k)) = d_x^k(s_t); atoms
@@ -824,9 +819,7 @@ def prolong_t(
                 _products_into(acc, base, flow_deriv(sym, order).terms)
             for i, (akey, power) in enumerate(atoms):
                 if akey not in atom_cache:
-                    atom_cache[akey] = antiderivative(
-                        rec(DiffPoly.monomial(akey)), nesting_limit
-                    )
+                    atom_cache[akey] = antiderivative(rec(DiffPoly.monomial(akey)))
                 base = (((jets, _drop_one(atoms, i), scale), c * power),)
                 _products_into(acc, base, atom_cache[akey].terms)
         return DiffPoly._from_dict(acc)
@@ -837,11 +830,7 @@ def prolong_t(
 # -- substitutions -------------------------------------------------------------
 
 
-def apply_symbol_map(
-    p: DiffPoly,
-    mapping: dict,
-    nesting_limit: int = DEFAULT_NESTING_LIMIT,
-) -> DiffPoly:
+def apply_symbol_map(p: DiffPoly, mapping: dict) -> DiffPoly:
     """Rename dependent symbols and re-canonicalize.
 
     Atom integrands are rebuilt after the substitution: any integrand that
@@ -856,28 +845,25 @@ def apply_symbol_map(
             new_jets[k] = new_jets.get(k, 0) + power
         term = DiffPoly((((tuple(sorted(new_jets.items())), (), scale), c),))
         for akey, power in atoms:
-            rebuilt = antiderivative(
-                apply_symbol_map(DiffPoly.monomial(akey), mapping, nesting_limit),
-                nesting_limit,
-            )
+            rebuilt = antiderivative(apply_symbol_map(DiffPoly.monomial(akey), mapping))
             term = term * rebuilt ** power
         _addto(acc, term.terms)
     return DiffPoly._from_dict(acc)
 
 
-def substitute_r_to_q(
-    p: DiffPoly, nesting_limit: int = DEFAULT_NESTING_LIMIT
-) -> DiffPoly:
+def substitute_r_to_q(p: DiffPoly) -> DiffPoly:
     """Replace every r-jet by the matching q-jet, including inside atoms."""
-    return apply_symbol_map(p, {"r": "q"}, nesting_limit)
+    return apply_symbol_map(p, {"r": "q"})
 
 
-def swap_q_r(p: DiffPoly, nesting_limit: int = DEFAULT_NESTING_LIMIT) -> DiffPoly:
+def swap_q_r(p: DiffPoly) -> DiffPoly:
     """Exchange q and r everywhere, including inside atoms."""
-    return apply_symbol_map(p, {"q": "r", "r": "q"}, nesting_limit)
+    return apply_symbol_map(p, {"q": "r", "r": "q"})
 
 
 # -- scaling -------------------------------------------------------------------
+# q = lam*u: a term of q-degree d picks up lam^d, and only even powers of lam
+# resolve.  Flows and operators read every power before renaming any term.
 
 
 def _q_degree(key) -> int:
@@ -892,48 +878,47 @@ def _q_degree(key) -> int:
     return degree + sum(_q_degree(akey) * power for akey, power in atoms)
 
 
-def scale_q_to_u(p: DiffPoly) -> DiffPoly:
-    """Substitute q^(k) -> lam * u^(k), keeping lam exponents on monomials.
+def _lam_power(p: DiffPoly) -> int:
+    """p's power of lam under q = lam*u: each term's own plus its q-degree.
 
-    Each term is renamed through `apply_symbol_map`, which returns atoms in
-    canonical form, and multiplied by lam to its q-degree, atoms included.
-    All degrees are read first: an r jet raises `OddScaleResidue` before
-    any integration runs.
+    Every term must have the same power; `OddScaleResidue` is raised otherwise.
     """
-    degrees = [_q_degree(key) for key, _ in p.terms]
-    acc = {}
-    for (key, c), degree in zip(p.terms, degrees):
-        renamed = apply_symbol_map(DiffPoly(((key, c),)), {"q": "u"})
-        _products_into(acc, renamed.terms, DiffPoly.lam(degree).terms)
-    return DiffPoly._from_dict(acc)
+    powers = {key[2] + _q_degree(key) for key, _ in p.terms}
+    if len(powers) != 1:
+        raise OddScaleResidue(f"not homogeneous under q = lam*u: {p!r}")
+    return powers.pop()
 
 
-def shift_lambda(p: DiffPoly, shift: int) -> DiffPoly:
-    return DiffPoly(
-        tuple((((j, a, s + shift), c)) for (j, a, s), c in p.terms)
-    )
-
-
-def resolve_lambda(p: DiffPoly, lambda_sq) -> DiffPoly:
-    """Replace lam^2 by the given rational; any odd residual exponent errors."""
+def _lam_factors(lambda_sq, powers) -> list:
+    """lambda_sq^k for each (2k, source) in powers; an odd power raises."""
     # A Fraction, so that a negative power stays exact (int ** -1 is a float).
     lambda_sq = Fraction(_fr(lambda_sq))
-    d = {}
-    for (jets, atoms, scale), c in p.terms:
-        if scale % 2:
+    factors = []
+    for power, source in powers:
+        if power % 2:
             raise OddScaleResidue(
-                f"odd residual scale exponent {scale} cannot be resolved"
+                f"odd scale exponent {power} cannot be resolved: {source!r}"
             )
-        half = scale // 2
-        nk = (jets, atoms, 0)
-        d[nk] = d.get(nk, 0) + c * lambda_sq ** half
-    return DiffPoly._from_dict(d)
+        factors.append(lambda_sq ** (power // 2))
+    return factors
+
+
+def _rename_q_to_u(p: DiffPoly) -> DiffPoly:
+    """p with lam dropped and q renamed u, atoms in canonical form."""
+    acc = {}
+    _addto(acc, (((jets, atoms, 0), c) for (jets, atoms, _), c in p.terms))
+    return apply_symbol_map(DiffPoly._from_dict(acc), {"q": "u"})
 
 
 def scale_substitute(p: DiffPoly, lambda_sq) -> DiffPoly:
     """Model q = lam*u on a flow: substitute, divide once by lam, resolve lam^2.
 
-    Every term must end up with an even scale exponent, which requires odd
-    q-degree throughout the input; `OddScaleResidue` is raised otherwise.
+    Every term must be left with an even power of lam, which requires odd
+    q-degree throughout the input; `OddScaleResidue` is raised otherwise,
+    before any term is renamed or integrated.
     """
-    return resolve_lambda(shift_lambda(scale_q_to_u(p), -1), lambda_sq)
+    terms = [DiffPoly((t,)) for t in p.terms]
+    factors = _lam_factors(lambda_sq, [(_lam_power(t) - 1, t) for t in terms])
+    return _rename_q_to_u(
+        DiffPoly((key, c * f) for (key, c), f in zip(p.terms, factors))
+    )

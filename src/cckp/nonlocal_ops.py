@@ -245,13 +245,8 @@ def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
     """Series form of the operator: every d^-1 expanded by Leibniz."""
     out = PsiDO.zero(depth)
     for weight, t in operator.terms:
-        expanded = expand_term_to_psido(t, depth)
-        if expanded.trunc_depth > depth:
-            expanded = PsiDO(
-                {k: c for k, c in expanded.coeffs.items() if k >= -depth},
-                depth,
-            )
-        out = out + expanded * weight
+        # The sum keeps the smaller depth and drops the orders below it.
+        out = out + expand_term_to_psido(t, depth) * weight
     return out
 
 
@@ -339,35 +334,37 @@ def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
     ending in [d^-1, integrand(A), d^-1, k]; both are replaced by the single
     chain [A, d^-1, k].  This is the by-parts collapse used to put the reduced
     operator into its short form.  Partners are found in one (weight, chain)
-    index; a term joins at most one pair, through its first free partner.
+    index.  Candidates are visited in term order, and each takes its first
+    free partner in atom order, wherever that partner sorts; a term that
+    has collapsed or has been taken as a partner joins no other pair.
     """
     terms = operator.terms
     index = {(w, _chain_key(t.chain)): j for j, (w, t) in enumerate(terms)}
-    used = set()
-    result = []
+    collapsed, partners = {}, set()
     for i, (w, t) in enumerate(terms):
-        if i in used:
-            continue
-        used.add(i)
         head, payload = t.chain[:-2], t.chain[-1]
         if (
-            len(t.chain) >= 2 and t.chain[-2] is DXINV
-            and _is_mul(payload) and len(payload.terms) == 1
+            i in partners or len(t.chain) < 2 or t.chain[-2] is not DXINV
+            or not _is_mul(payload) or len(payload.terms) != 1
         ):
-            (((jets, atoms, scale), coeff),) = payload.terms
-            for akey in (a for a, power in atoms if power == 1):
-                remaining = tuple((k, p) for k, p in atoms if k != akey)
-                k_poly = DiffPoly((((jets, remaining, scale), coeff),))
-                # Already normal: a d^-1 stands between any two multipliers.
-                partner = head + (DXINV, DiffPoly.monomial(akey), DXINV, k_poly)
-                j = index.get((w, _chain_key(partner)))
-                if j is not None and j not in used:
-                    used.add(j)
-                    atom = DiffPoly.monomial(((), ((akey, 1),), 0))
-                    t = IntDiffTerm(head + (atom, DXINV, k_poly))
-                    break
-        result.append((w, t))
-    return IntDiffOperator(result)
+            continue
+        (((jets, atoms, scale), coeff),) = payload.terms
+        for akey in (a for a, power in atoms if power == 1):
+            remaining = tuple((k, p) for k, p in atoms if k != akey)
+            k_poly = DiffPoly((((jets, remaining, scale), coeff),))
+            # Already normal: a d^-1 stands between any two multipliers.
+            partner = head + (DXINV, DiffPoly.monomial(akey), DXINV, k_poly)
+            j = index.get((w, _chain_key(partner)))
+            if j is not None and j not in partners and j not in collapsed:
+                partners.add(j)
+                atom = DiffPoly.monomial(((), ((akey, 1),), 0))
+                collapsed[i] = IntDiffTerm(head + (atom, DXINV, k_poly))
+                break
+    return IntDiffOperator(
+        (w, collapsed.get(i, t))
+        for i, (w, t) in enumerate(terms)
+        if i not in partners
+    )
 
 
 # -- rendering -----------------------------------------------------------------

@@ -11,18 +11,18 @@ from . import hierarchy
 from .diffring import (
     DEFAULT_NESTING_LIMIT,
     DiffPoly,
-    _fr,
+    _lam_factors,
+    _lam_power,
+    _rename_q_to_u,
     antiderivative,
-    scale_q_to_u,
-    shift_lambda,
 )
-from .errors import OddScaleResidue, ResidualNonlocal
+from .errors import ResidualNonlocal
 from .hierarchy import CheckReport, FlowPair, bn, by_order
 from .nonlocal_ops import (
     DX,
     DXINV,
     IntDiffOperator,
-    IntDiffTerm,
+    _map_payloads,
     apply,
     collapse_exact_pairs,
     distribute,
@@ -180,48 +180,31 @@ def scaled_mkdv_literal() -> IntDiffOperator:
     )
 
 
-def scale_operator(
-    operator: IntDiffOperator, lambda_sq
-) -> IntDiffOperator:
+def scale_operator(operator: IntDiffOperator, lambda_sq) -> IntDiffOperator:
     """Substitute q = lam*u in every payload and resolve lam^2 per chain.
 
     Each payload must be homogeneous in the scale constant; the exponents
     collected along a chain must sum to an even number, which holds exactly
-    when every term of the operator has even total degree in q.
+    when every term of the operator has even total degree in q.  Every
+    payload and chain is checked before any payload is renamed.
     """
-    # A Fraction, so that a negative power stays exact (int ** -1 is a float).
-    lambda_sq = Fraction(_fr(lambda_sq))
-    out = []
-    for weight, t in operator.terms:
-        new_chain = []
-        exponent = 0
-        for factor in t.chain:
-            if factor in (DX, DXINV):
-                new_chain.append(factor)
-                continue
-            scaled = scale_q_to_u(factor)
-            exps = {key[2] for key, _ in scaled.terms}
-            if len(exps) > 1:
-                raise OddScaleResidue(
-                    "payload is not homogeneous under the scaling "
-                    f"substitution: {factor!r}"
-                )
-            e = exps.pop() if exps else 0
-            exponent += e
-            new_chain.append(shift_lambda(scaled, -e))
-        if exponent % 2:
-            raise OddScaleResidue(
-                f"chain carries an odd scale exponent {exponent}: {t!r}"
-            )
-        out.append(
-            (weight * lambda_sq ** (exponent // 2), IntDiffTerm(new_chain))
-        )
-    return IntDiffOperator(out)
+    exponents = [
+        (sum(_lam_power(f) for f in t.chain if f not in (DX, DXINV)), t)
+        for _, t in operator.terms
+    ]
+    factors = _lam_factors(lambda_sq, exponents)
+    scaled = IntDiffOperator(
+        (weight * f, t) for (weight, t), f in zip(operator.terms, factors)
+    )
+    return _map_payloads(scaled, _rename_q_to_u)
 
 
-def scaled_mkdv_operator(lambda_sq=Fraction(1, 12)) -> IntDiffOperator:
-    """The reduced operator rescaled by q = lam*u with lam^2 = 1/12."""
-    return scale_operator(reduce_matrix(), lambda_sq)
+LAMBDA_SQ = Fraction(1, 12)  # the paper's lam^2 in q = lam*u
+
+
+def scaled_mkdv_operator() -> IntDiffOperator:
+    """The reduced operator rescaled by q = lam*u with lam^2 = LAMBDA_SQ."""
+    return scale_operator(reduce_matrix(), LAMBDA_SQ)
 
 
 def verify_aratyn_identities(

@@ -22,7 +22,6 @@ from cckp.diffring import (
     d_x,
     integrate,
     prolong_t,
-    scale_q_to_u,
     scale_substitute,
     substitute_r_to_q,
     swap_q_r,
@@ -434,7 +433,8 @@ class TestSubstitutions:
         for _ in range(60):
             p = random_poly(rng, allow_atoms=True)
             qu = _random_qu_with_atoms(rng)
-            for out in (substitute_r_to_q(p), swap_q_r(p), scale_q_to_u(qu)):
+            renamed = diffring._rename_q_to_u(qu)
+            for out in (substitute_r_to_q(p), swap_q_r(p), renamed):
                 seen += _assert_atoms_canonical(out)
         assert seen > 50
 
@@ -503,19 +503,33 @@ class TestScale:
         atom = antiderivative(Q * DiffPoly.jet("u", 1))
         assert atom.atom_part() == atom
         u = DiffPoly.jet("u")
-        assert scale_q_to_u(atom) == Fraction(1, 2) * u * u * DiffPoly.lam()
+        assert scale_substitute(atom, Fraction(1, 12)) == Fraction(1, 2) * u * u
 
-    def test_r_rejected_before_integration(self, monkeypatch):
+    @pytest.fixture
+    def atom_then_no_integration(self, monkeypatch):
+        """I(q*u'), after which antiderivative refuses to run."""
+        atom = antiderivative(Q * DiffPoly.jet("u", 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("antiderivative ran before the scaling check")
+
+        monkeypatch.setattr(diffring, "antiderivative", refuse)
+        return atom
+
+    def test_r_rejected_before_integration(self, atom_then_no_integration):
         # The r jet sorts after the atom term, but it is found before the
         # atom's integrand is renamed and integrated again.
-        p = antiderivative(Q * DiffPoly.jet("u", 1)) + R
-
-        def no_integration(*args, **kwargs):
-            raise AssertionError("antiderivative ran before the r check")
-
-        monkeypatch.setattr(diffring, "antiderivative", no_integration)
         with pytest.raises(OddScaleResidue):
-            scale_q_to_u(p)
+            scale_substitute(atom_then_no_integration + R, 4)
+
+    def test_odd_power_rejected_before_integration(self, atom_then_no_integration):
+        # q*I(q*u') is left with lam^(1 + 1 - 1): odd, found before renaming.
+        with pytest.raises(OddScaleResidue):
+            scale_substitute(Q * atom_then_no_integration, 4)
+
+    def test_float_refused_on_empty_input(self):
+        with pytest.raises(TypeError):
+            scale_substitute(DiffPoly.zero(), 1 / 12)
 
 
 def _reference_proper_divisors(key):

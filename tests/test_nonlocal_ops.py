@@ -321,9 +321,10 @@ def test_factored_apply_matches_termwise_on_the_matrix():
 
 
 def _reference_collapse_exact_pairs(operator):
-    """The nested scan: every candidate searches all terms for its partner."""
+    """The nested scan: every candidate searches all terms for its first free
+    partner, wherever that partner sorts."""
     terms = list(operator.terms)
-    result = []
+    replaced = {}
     used = [False] * len(terms)
     for i, (wi, ti) in enumerate(terms):
         if used[i]:
@@ -368,11 +369,12 @@ def _reference_collapse_exact_pairs(operator):
         if match:
             j, new_term = match
             used[i] = used[j] = True
-            result.append((wi, new_term))
-        else:
-            used[i] = True
-            result.append((wi, ti))
-    return IntDiffOperator(result)
+            replaced[i] = new_term
+    return IntDiffOperator(
+        (w, replaced.get(i, t))
+        for i, (w, t) in enumerate(terms)
+        if i in replaced or not used[i]
+    )
 
 
 _Q2 = DiffPoly.jet("q", 2)
@@ -423,6 +425,32 @@ def _random_pair_operator(rng):
         if rng.random() < 0.2:
             terms.append((w, IntDiffTerm(head + [DXINV, atom * k + Q])))
     return terms
+
+
+def test_collapse_takes_a_partner_that_sorts_first():
+    # The partner's q^2 sorts before the candidate's r*I(q^2).
+    i_qq = antiderivative(Q * Q)
+    candidate, partner = _by_parts_pair([Q], i_qq, R)
+    op = IntDiffOperator(((2, candidate), (2, partner)))
+    assert op.terms[0][1] == partner
+    out = collapse_exact_pairs(op)
+    assert out == IntDiffOperator(((2, term(Q * i_qq, DXINV, R)),))
+    assert out == _reference_collapse_exact_pairs(op)
+
+
+def test_collapse_preserves_application_randomized():
+    # By parts, d^-1 (A k v) + d^-1 A' d^-1 (k v) = A d^-1 (k v): the
+    # collapse must not change what the operator does to any function.
+    rng = random.Random(SEED)
+    fs = (QX, Q * R)
+    collapsed = 0
+    for _ in range(200):
+        op = IntDiffOperator(_random_pair_operator(rng))
+        out = collapse_exact_pairs(op)
+        collapsed += out != op
+        for f in fs:
+            assert apply(out, f, 4) == apply(op, f, 4)
+    assert collapsed > 100
 
 
 def test_collapse_matches_reference_randomized():

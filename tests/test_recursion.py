@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cckp import diffring
 from cckp.diffring import (
     DiffPoly,
     antiderivative,
@@ -224,10 +225,29 @@ class TestScaling:
         with pytest.raises(OddScaleResidue):
             scale_operator(IntDiffOperator(((1, term(*chain)),)), 4)
 
+    @pytest.mark.parametrize(
+        "bad", ((Q, DXINV), (Q + Q * Q,)), ids=("odd-chain", "inhomogeneous")
+    )
+    def test_rejected_before_integration(self, monkeypatch, bad):
+        # The atom-bearing payload comes first, but no payload is renamed
+        # (and its atom integrated again) before every chain is checked.
+        atom = antiderivative(Q * DiffPoly.jet("u", 1))
+        op = IntDiffOperator(((1, term(atom * atom)), (1, term(*bad))))
+        assert op.terms[0][1] == term(atom * atom)
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("antiderivative ran before the scaling check")
+
+        monkeypatch.setattr(diffring, "antiderivative", no_integration)
+        with pytest.raises(OddScaleResidue):
+            scale_operator(op, 4)
+
     def test_float_scale_is_rejected(self):
-        # 1/12 as a float is a binary fraction; only exact rationals scale.
-        with pytest.raises(TypeError):
-            scale_operator(reduce_matrix(), 1 / 12)
+        # 1/12 as a float is a binary fraction; only exact rationals scale,
+        # and the check holds even when there is nothing to scale.
+        for op in (reduce_matrix(), IntDiffOperator()):
+            with pytest.raises(TypeError):
+                scale_operator(op, 1 / 12)
 
     def test_scaled_flows(self):
         lam_sq = Fraction(1, 12)
