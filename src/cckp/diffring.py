@@ -184,14 +184,11 @@ def _key_atom_depths(key):
 def _mon_priority(key):
     """Total order on monomial keys; larger keys are reduced first."""
     jets, atoms, scale = key
-    return (
-        _key_atom_depths(key),
-        atoms,
-        _jet_degree(jets),
-        _jet_weight(jets),
-        jets,
-        scale,
-    )
+    degree = weight = 0
+    for (_, order), p in jets:
+        degree += p
+        weight += order * p
+    return (_key_atom_depths(key), atoms, degree, weight, jets, scale)
 
 
 def _display_key(item):
@@ -436,45 +433,62 @@ class _Reducer:
     span, so the residual of `split` is the true normal form modulo that span
     and does not depend on the candidate processing order.
 
-    Rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each row
-    ``(pivot, lead, img, pre)`` holds integer dicts with ``d_x(pre) == img``,
-    divided by their content, and a positive ``lead == img[pivot]``.
+    Elimination runs on integer ranks.  `keys` is the class universe (the
+    candidates and every key of their d_x images) sorted once by
+    `_mon_priority`, and a key's rank (`rank`) is its index, so larger ranks
+    are reduced first.  Rows are fraction-free (Bareiss, Math. Comp. 22,
+    1968) and compact: each row ``(pivot, lead, img_ranks, img_coeffs,
+    pre_ranks, pre_coeffs)`` holds parallel tuples of ranks and integers
+    with ``d_x(pre) == img``, divided by their content, and a positive
+    ``lead``, the coefficient of ``pivot == max(img_ranks)``.  Rows are
+    sorted by pivot.  A build whose row visits exceed `_ELIMINATION_CAP`
+    raises `EngineError` naming `start`, the monomial whose closure the
+    candidates are.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("keys", "rank", "pivots")
 
-    def __init__(self, candidate_keys: Iterable):
-        # Each key's priority is computed once per build, and rows are
-        # inserted through the parallel list of their pivots' priorities.
-        priority = {}
-
-        def prio(key):
-            p = priority.get(key)
-            if p is None:
-                p = priority[key] = _mon_priority(key)
-            return p
-
-        rows = []  # (pivot_key, lead, image dict, preimage dict), priority-asc
-        row_prios = []
-        for ck in sorted(set(candidate_keys), key=prio, reverse=True):
-            img = _dx_key(ck)
+    def __init__(self, candidate_keys: Iterable, start):
+        images = {ck: _dx_key(ck) for ck in candidate_keys}
+        universe = set(images)
+        for img in images.values():
+            universe.update(img)
+        keys = self.keys = sorted(universe, key=_mon_priority)
+        rank = self.rank = {k: i for i, k in enumerate(keys)}
+        rows = []  # compact rows, pivot-ascending
+        row_pivots = []
+        visits = 0
+        for r in sorted(map(rank.__getitem__, images), reverse=True):
+            # Each reduction visits every row once: the bound is checked
+            # per candidate, outside the elimination loop.
+            visits += len(rows)
+            if visits > _ELIMINATION_CAP:
+                raise EngineError(
+                    f"reducer for {DiffPoly.monomial(start)!r} "
+                    f"reached {visits} row visits, over "
+                    f"diffring._ELIMINATION_CAP = {_ELIMINATION_CAP}"
+                )
+            img = {rank[k]: c for k, c in images[keys[r]].items()}
             used = {}
             scale = _reduce_against(rows, img, used)
             if not img:
                 continue
-            pre = {ck: scale}
+            pre = {r: scale}
             _addto(pre, used.items(), -1)
-            pivot = max(img, key=prio)
+            pivot = max(img)
             g = gcd(*img.values(), *pre.values())
             if img[pivot] < 0:
                 g = -g
-            if g != 1:
-                img = {k: c // g for k, c in img.items()}
-                pre = {k: c // g for k, c in pre.items()}
-            p = priority[pivot]
-            i = bisect_left(row_prios, p)
-            row_prios.insert(i, p)
-            rows.insert(i, (pivot, img[pivot], img, pre))
+            i = bisect_left(row_pivots, pivot)
+            row_pivots.insert(i, pivot)
+            rows.insert(i, (
+                pivot,
+                img[pivot] // g,
+                tuple(img),
+                tuple(c // g for c in img.values()),
+                tuple(pre),
+                tuple(c // g for c in pre.values()),
+            ))
         self.pivots = rows
 
     def split(self, work: dict, den: int = 1):
@@ -482,15 +496,27 @@ class _Reducer:
 
         Returns (den', pre, res) with ``work / den == d_x(pre / den') +
         res / den'``: pre and res are sorted (key, int) tuples, den' > 0 and
-        the gcd of den' and every coefficient is 1.  work is consumed.
+        the gcd of den' and every coefficient is 1.  work is left as is.
         """
+        rank = self.rank
+        ranked = {}
+        unranked = []  # keys no row touches: residual as they are
+        for k, c in work.items():
+            r = rank.get(k)
+            if r is None:
+                unranked.append((k, c))
+            else:
+                ranked[r] = c
         pre = {}
-        den *= _reduce_against(self.pivots, work, pre)
-        g = gcd(den, *pre.values(), *work.values())
+        scale = _reduce_against(self.pivots, ranked, pre)
+        keys = self.keys
+        res = [(keys[r], c) for r, c in ranked.items()]
+        res += [(k, c * scale) for k, c in unranked]
+        g = gcd(den * scale, *pre.values(), *(c for _, c in res))
         return (
-            den // g,
-            tuple(sorted((k, c // g) for k, c in pre.items())),
-            tuple(sorted((k, c // g) for k, c in work.items())),
+            den * scale // g,
+            tuple(sorted((keys[r], c // g) for r, c in pre.items())),
+            tuple(sorted((k, c // g) for k, c in res)),
         )
 
 
@@ -503,7 +529,7 @@ def _reduce_against(rows, work: dict, pre_total: dict) -> int:
     row's lead.
     """
     scale = 1
-    for pivot, lead, img, pre in reversed(rows):
+    for pivot, lead, img_r, img_c, pre_r, pre_c in reversed(rows):
         c = work.get(pivot)
         if not c:
             continue
@@ -516,8 +542,8 @@ def _reduce_against(rows, work: dict, pre_total: dict) -> int:
             for k in pre_total:
                 pre_total[k] *= f
         c //= g
-        _addto(work, img.items(), -c)
-        _addto(pre_total, pre.items(), c)
+        _addto(work, zip(img_r, img_c), -c)
+        _addto(pre_total, zip(pre_r, pre_c), c)
     return scale
 
 
@@ -560,6 +586,8 @@ def _divided(vec: dict, den: int) -> dict:
 _WRAP_DEPTH_CAP = 3
 
 _CLOSURE_CAP = 6000
+
+_ELIMINATION_CAP = 2_000_000
 
 # monomial key -> its integer normal form (den, pre, res), for local keys as
 # well as atom keys: the monomial is d_x(pre / den) + res / den (`_Reducer.split`)
@@ -682,10 +710,11 @@ def _local_reducer(symdeg, weight: int, scale: int, atoms=()) -> _Reducer:
     jets = tuple(((sym, 0), deg) for sym, deg in symdeg)
     if weight:
         jets = _shift_order(jets, 0, weight)
-    candidates = _closure_candidates((jets, atoms, scale))
+    start = (jets, atoms, scale)
+    candidates = _closure_candidates(start)
     reducer = _REDUCER_CACHE.get(candidates)
     if reducer is None:
-        reducer = _REDUCER_CACHE[candidates] = _Reducer(candidates)
+        reducer = _REDUCER_CACHE[candidates] = _Reducer(candidates, start)
     return reducer
 
 

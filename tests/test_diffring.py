@@ -642,7 +642,9 @@ class TestCandidates:
                         for jets in _component_jets(symdeg, weight - 1)
                     ]
                     reducer = diffring._local_reducer(symdeg, weight, scale)
-                    expected = diffring._Reducer(reference)
+                    start = _class_start(symdeg, weight, (), scale)
+                    expected = diffring._Reducer(reference, start)
+                    assert reducer.keys == expected.keys
                     assert reducer.pivots == expected.pivots
                     assert len(reducer.pivots) == len(reference)
 
@@ -852,10 +854,40 @@ class TestKeyKernels:
                 _symdeg(jets), weight, scale, atoms
             )
 
+    def test_mon_priority_matches_the_two_pass_reference(self):
+        rng = random.Random(SEED)
+        atom_pool = _atom_pool()
+        for _ in range(500):
+            jets = _random_factors(rng, _JET_POOL, 5)
+            atoms = _random_factors(rng, atom_pool, 2)
+            key = (jets, atoms, rng.randint(-2, 2))
+            assert diffring._mon_priority(key) == (
+                diffring._key_atom_depths(key),
+                atoms,
+                diffring._jet_degree(jets),
+                diffring._jet_weight(jets),
+                jets,
+                key[2],
+            )
+
+
+def _keyed_rows(reducer):
+    """The reducer's rows as (pivot, lead, img, pre), keyed by monomial.
+
+    Each rank is mapped back through the reducer's key table.
+    """
+    keys = reducer.keys
+    for pivot, lead, img_r, img_c, pre_r, pre_c in reducer.pivots:
+        assert len(set(img_r)) == len(img_r) == len(img_c)
+        assert len(set(pre_r)) == len(pre_r) == len(pre_c)
+        img = {keys[r]: c for r, c in zip(img_r, img_c)}
+        pre = {keys[r]: c for r, c in zip(pre_r, pre_c)}
+        yield keys[pivot], lead, img, pre
+
 
 def _check_reducer_rows(reducer):
     assert reducer.pivots
-    for pivot, lead, img, pre in reducer.pivots:
+    for pivot, lead, img, pre in _keyed_rows(reducer):
         coeffs = list(img.values()) + list(pre.values())
         assert {type(c) for c in coeffs} == {int}
         assert math.gcd(*coeffs) == 1
@@ -896,7 +928,8 @@ def _reference_grouped_integrate(p):
     rho_total = {}
     for (symdeg, weight, scale), vec in groups.items():
         lower = _component_jets(symdeg, weight - 1)
-        reducer = diffring._Reducer((jets, (), scale) for jets in lower)
+        candidates = [(jets, (), scale) for jets in lower]
+        reducer = diffring._Reducer(candidates, next(iter(vec)))
         pre, res = _reduce(reducer, vec)
         diffring._addto(f_total, pre.items())
         diffring._addto(rho_total, res.items())
@@ -957,6 +990,26 @@ class TestMemoTables:
         assert diffring._local_reducer.cache_info().currsize == 0
         assert integrate(p) == before
 
+    def test_elimination_cap_names_the_closure(self, monkeypatch):
+        p = DiffPoly.jet("q", 2) * RX
+        clear_caches()
+        before = integrate(p)
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "_ELIMINATION_CAP", 2)
+            with pytest.raises(EngineError) as err:
+                integrate(p)
+        # The build names its class start, like the closure walk.
+        message = str(err.value)
+        assert poly_text(DiffPoly.jet("q", 3) * R) in message
+        assert "diffring._ELIMINATION_CAP = 2" in message
+        assert int(re.search(r"reached (\d+) row visits", message)[1]) > 2
+        # A tripped build stores no reducer and no normal form.
+        assert not diffring._REDUCER_CACHE
+        assert diffring._local_reducer.cache_info().currsize == 0
+        assert _single_key(p) not in diffring._NF_ATOM_CACHE
+        assert integrate(p) == before
+
     def test_reentered_build_raises_and_leaves_no_state(self, monkeypatch):
         p = QX * R * antiderivative(Q * R)
         key = _single_key(p)
@@ -991,7 +1044,7 @@ class TestMemoTables:
 
 def _reference_split_atom_mono(key):
     """The per-monomial loop `_nf_atom` was built on before `_split`."""
-    reducer = diffring._Reducer(_reference_closure(key)[0])
+    reducer = diffring._Reducer(_reference_closure(key)[0], key)
     pre, res = _reduce(reducer, {key: Fraction(1)})
     if key in res:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
@@ -1086,6 +1139,69 @@ class TestAtomNormalForms:
             assert not changed, (seed, len(changed), len(keys))
 
 
+class TestRankTables:
+    def test_ranks_follow_the_priority_order(self):
+        _fill_atom_cache(9)
+        assert len(diffring._REDUCER_CACHE) > 100
+        for reducer in diffring._REDUCER_CACHE.values():
+            keys = reducer.keys
+            priorities = [diffring._mon_priority(k) for k in keys]
+            assert all(a < b for a, b in zip(priorities, priorities[1:]))
+            assert reducer.rank == {k: i for i, k in enumerate(keys)}
+
+    def test_every_row_key_is_in_the_table(self):
+        _fill_atom_cache(9)
+        for candidates, reducer in diffring._REDUCER_CACHE.items():
+            # The table is the class universe: the candidates and every
+            # key of their images.
+            universe = set(candidates)
+            for cand in candidates:
+                universe.update(diffring._dx_key(cand))
+            assert set(reducer.keys) == universe
+            candidate_ranks = {reducer.rank[c] for c in candidates}
+            pivots = [row[0] for row in reducer.pivots]
+            assert pivots == sorted(set(pivots))
+            for pivot, _, img_ranks, _, pre_ranks, _ in reducer.pivots:
+                for r in (pivot, *img_ranks, *pre_ranks):
+                    assert type(r) is int and 0 <= r < len(reducer.keys)
+                assert set(pre_ranks) <= candidate_ranks
+
+    def test_unranked_key_keeps_the_common_scaling(self):
+        cached = _fill_atom_cache(7)
+        # A monomial whose elimination scales the work vector...
+        key = next(k for k in sorted(cached) if cached[k][0] > 1)
+        reducer = diffring._local_reducer(*diffring._class_of(key))
+        # ...and a key its reducer has no rank for.
+        other = _single_key(DiffPoly.jet("u", 1))
+        assert other not in reducer.rank
+        for den in (1, 6):
+            f, rho = _as_pair(reducer.split({key: 5, other: 3}, den))
+            alone_f, alone_rho = _as_pair(reducer.split({key: 5}, den))
+            tail = DiffPoly.monomial(other) * Fraction(3, den)
+            assert (f, rho) == (alone_f, alone_rho + tail)
+            assert d_x(f) + rho == (
+                DiffPoly.monomial(key) * Fraction(5, den) + tail
+            )
+
+    def test_split_of_a_vector_is_the_sum_of_its_key_splits(self):
+        cached = _fill_atom_cache(9)
+        by_class = {}
+        for key in sorted(cached):
+            by_class.setdefault(diffring._class_of(key), []).append(key)
+        assert any(len(keys) > 5 for keys in by_class.values())
+        rng = random.Random(SEED)
+        for cls, keys in by_class.items():
+            coeffs = {k: rng.choice((-3, -1, 1, 2, 7)) for k in keys}
+            den = rng.choice((1, 2, 15))
+            got = diffring._local_reducer(*cls).split(dict(coeffs), den)
+            f = rho = DiffPoly.zero()
+            for k, c in coeffs.items():
+                kf, krho = _reference_split_atom_mono(k)
+                f = f + kf * Fraction(c, den)
+                rho = rho + krho * Fraction(c, den)
+            assert _as_pair(got) == (f, rho)
+
+
 def _reference_closure(key):
     """The closure walk that reuses nothing: every reached monomial is walked.
 
@@ -1167,10 +1283,10 @@ class TestClassClosures:
             keys.append(key)
             keys.extend(k for k, _ in pre + res)
         for reducer in diffring._REDUCER_CACHE.values():
-            for pivot, _, img, pre in reducer.pivots:
-                keys.append(pivot)
-                keys.extend(img)
-                keys.extend(pre)
+            keys.extend(reducer.keys)
+        for candidates, visited in diffring._CLASS_CLOSURES.values():
+            keys.extend(candidates)
+            keys.extend(visited)
         assert len(keys) > 10000
         for key in keys:
             assert canonical.setdefault(key, key) is key

@@ -106,6 +106,11 @@ class TestStep:
     def test_step_from_t11_reaches_t13(self):
         assert step(flow(11)) == flow(13)
 
+    @pytest.mark.slow
+    def test_step_from_t13_reaches_t15(self):
+        # The frontier of the recursion route, against the generator route.
+        assert step(flow(13)) == flow(15)
+
     def test_swap_equivariance(self):
         # Stepping preserves the swap symmetry of flow pairs...
         for m in (1, 3):
