@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage,
 configuration or resource errors.  Flags override environment variables
-(CCKP_DEPTH, CCKP_MAX_FLOW, CCKP_FORMAT, CCKP_NESTING_LIMIT), which override
-the defaults.
+(CCKP_DEPTH, CCKP_MAX_FLOW, CCKP_FORMAT), which override the defaults.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import hierarchy, recursion
+from . import diffring, hierarchy, recursion
 from .diffring import DiffPoly, scale_substitute, substitute_r_to_q
 from .errors import DepthExhausted, EngineError
 from .grammar import poly_json, poly_latex, poly_text
@@ -38,7 +37,6 @@ class RunConfig:
     depth: int = 8
     max_flow: int = 7
     output_format: str = "text"
-    atom_nesting_limit: int = 2
 
     def __post_init__(self):
         if self.max_flow % 2 == 0 or self.max_flow <= 0:
@@ -65,19 +63,11 @@ def build_config(args) -> RunConfig:
         args.max_flow if args.max_flow is not None else _env_int("MAX_FLOW")
     )
     fmt = args.format or os.environ.get(_ENV_PREFIX + "FORMAT")
-    nesting = (
-        args.nesting_limit
-        if args.nesting_limit is not None
-        else _env_int("NESTING_LIMIT")
-    )
     defaults = RunConfig()
     return RunConfig(
         depth=depth if depth is not None else defaults.depth,
         max_flow=max_flow if max_flow is not None else defaults.max_flow,
         output_format=fmt if fmt else defaults.output_format,
-        atom_nesting_limit=(
-            nesting if nesting is not None else defaults.atom_nesting_limit
-        ),
     )
 
 
@@ -190,12 +180,10 @@ def _literal_report(name: str, label: str, got, literal) -> CheckReport:
     )
 
 
-def _step_of(steps: dict, m: int, config: RunConfig):
+def _step_of(steps: dict, m: int):
     """step(flow(m)), computed once per run."""
     if m not in steps:
-        steps[m] = recursion.step(
-            hierarchy.flow(m), nesting_limit=config.atom_nesting_limit
-        )
+        steps[m] = recursion.step(hierarchy.flow(m))
     return steps[m]
 
 
@@ -217,12 +205,9 @@ def _suite_recursion(config: RunConfig, steps: dict):
     for m in _odd(1, config.max_flow - 2):
         target = hierarchy.flow(m + 2)
         name = f"step t_{m} -> t_{m + 2}"
-        yield from _flow_reports(name, _step_of(steps, m, config), target)
+        yield from _flow_reports(name, _step_of(steps, m), target)
         if m == 3:
-            two = recursion.step(
-                _step_of(steps, 1, config),
-                nesting_limit=config.atom_nesting_limit,
-            )
+            two = recursion.step(_step_of(steps, 1))
             yield from _flow_reports("two-step t_1 -> t_5", two, target)
 
 
@@ -251,7 +236,6 @@ _ORDINALS = {3: "third", 5: "fifth", 7: "seventh", 9: "ninth", 11: "eleventh"}
 
 
 def _suite_reduction(config: RunConfig, steps: dict):
-    limit = config.atom_nesting_limit
     reduced = recursion.reduce_matrix()
     literal = recursion.mkdv_recursion_literal()
     yield _literal_report(
@@ -271,7 +255,7 @@ def _suite_reduction(config: RunConfig, steps: dict):
         n: substitute_r_to_q(hierarchy.flow(n).q_t)
         for n in _odd(1, config.max_flow - 2)
     }
-    images = {m: nl_apply(reduced, mkdv[m], limit) for m in sources}
+    images = {m: nl_apply(reduced, mkdv[m]) for m in sources}
     for m in sources:
         yield _report(
             f"reduced step t_{m} -> t_{m + 2}", images[m], mkdv[m + 2]
@@ -279,7 +263,7 @@ def _suite_reduction(config: RunConfig, steps: dict):
     for m in sources:
         yield _report(
             f"reduction commutes with step at t_{m}",
-            substitute_r_to_q(_step_of(steps, m, config).q_t),
+            substitute_r_to_q(_step_of(steps, m).q_t),
             images[m],
         )
     scaled_literal = recursion.scaled_mkdv_literal()
@@ -296,7 +280,7 @@ def _suite_reduction(config: RunConfig, steps: dict):
         yield _report(
             f"scaled {word}-order flow",
             scale_substitute(mkdv[n], lam_sq),
-            nl_apply(scaled_literal, scale_substitute(mkdv[m], lam_sq), limit),
+            nl_apply(scaled_literal, scale_substitute(mkdv[m], lam_sq)),
         )
 
 
@@ -345,7 +329,7 @@ def cmd_verify(suite: str, config: RunConfig, out_path=None) -> int:
             "config": {
                 "depth": config.depth,
                 "max_flow": config.max_flow,
-                "atom_nesting_limit": config.atom_nesting_limit,
+                "atom_nesting_limit": diffring._NESTING_LIMIT,
             },
             "passed": passed,
             "checks": [
@@ -440,9 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "latex", "json"), default=None
         )
         p.add_argument("--out", default=None)
-        p.add_argument(
-            "--nesting-limit", type=int, default=None, dest="nesting_limit"
-        )
 
     d = sub.add_parser("derive", help="print a flow generator and its flow")
     d.add_argument("n", type=int)

@@ -39,8 +39,6 @@ from .errors import EngineError, NestingTooDeep, OddScaleResidue
 
 SYMBOLS = ("q", "r", "u")
 
-DEFAULT_NESTING_LIMIT = 2
-
 # A monomial key is (jets, atoms, scale):
 #   jets:  tuple of ((symbol, order), power), sorted
 #   atoms: tuple of (atom_key, power), sorted; atom_key is the key of the
@@ -241,12 +239,14 @@ class DiffPoly:
     def jet(cls, symbol: str, order: int = 0) -> "DiffPoly":
         if symbol not in SYMBOLS:
             raise ValueError(f"unknown symbol {symbol!r}")
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
+        if type(order) is not int or order < 0:
+            raise ValueError("derivative order must be an int >= 0")
         return cls.monomial(((((symbol, order), 1),), (), 0))
 
     @classmethod
     def lam(cls, exponent: int = 1) -> "DiffPoly":
+        if type(exponent) is not int:
+            raise ValueError("lam exponent must be an int")
         return cls.monomial(((), (), exponent))
 
     # -- ring structure -----------------------------------------------------
@@ -326,6 +326,10 @@ class DiffPoly:
     @property
     def is_local(self) -> bool:
         return all(not k[1] for k, _ in self.terms)
+
+    @property
+    def is_constant(self) -> bool:
+        return all(k == _EMPTY_KEY for k, _ in self.terms)
 
     def atom_part(self) -> "DiffPoly":
         return DiffPoly(tuple((k, c) for k, c in self.terms if k[1]))
@@ -589,6 +593,9 @@ _CLOSURE_CAP = 6000
 
 _ELIMINATION_CAP = 2_000_000
 
+# The deepest an antiderivative atom may nest, I(I(...)) counting as 2.
+_NESTING_LIMIT = 2
+
 # monomial key -> its integer normal form (den, pre, res), for local keys as
 # well as atom keys: the monomial is d_x(pre / den) + res / den (`_Reducer.split`)
 _NF_ATOM_CACHE = {}
@@ -792,9 +799,7 @@ def integrate(p: DiffPoly):
     )
 
 
-def antiderivative(
-    p: DiffPoly, nesting_limit: int = DEFAULT_NESTING_LIMIT
-) -> DiffPoly:
+def antiderivative(p: DiffPoly) -> DiffPoly:
     """The engine's full antiderivative: local part plus atoms for the rest.
 
     Each irreducible remainder monomial becomes one monic-integrand atom with
@@ -806,10 +811,10 @@ def antiderivative(
     for (jets, atoms, scale), c in rho.terms:
         akey = (jets, atoms, 0)
         depth = _atom_depth(akey)
-        if depth > nesting_limit:
+        if depth > _NESTING_LIMIT:
             raise NestingTooDeep(
-                f"antiderivative atom would have nesting depth {depth} "
-                f"(limit {nesting_limit})"
+                f"atom I({DiffPoly.monomial(akey)!r}) would nest {depth} "
+                f"deep, over diffring._NESTING_LIMIT = {_NESTING_LIMIT}"
             )
         if not _is_reduced_mono(akey):
             raise EngineError(f"unreduced remainder {DiffPoly.monomial(akey)!r}")

@@ -18,7 +18,7 @@ class OddScaleResidue(EngineError):
 
 
 class NestingTooDeep(EngineError):
-    """An antiderivative would exceed the configured atom nesting limit."""
+    """An antiderivative would exceed the atom nesting limit."""
 
 
 class ResidualNonlocal(EngineError):

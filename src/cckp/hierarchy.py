@@ -131,8 +131,8 @@ def clear_caches() -> None:
     diffring.clear_caches()
 
 
-def prolong_flow(p: DiffPoly, n: int, depth: int | None = None) -> DiffPoly:
-    fp = flow(n, depth)
+def prolong_flow(p: DiffPoly, n: int) -> DiffPoly:
+    fp = flow(n)
     return prolong_t(p, fp.q_t, fp.r_t)
 
 

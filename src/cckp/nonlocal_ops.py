@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .diffring import (
-    DEFAULT_NESTING_LIMIT,
     DiffPoly,
     _fr,
     antiderivative,
@@ -154,11 +153,7 @@ def _chain_is_zero(chain) -> bool:
 # -- evaluation -----------------------------------------------------------------
 
 
-def apply(
-    operator: IntDiffOperator,
-    f: DiffPoly,
-    nesting_limit: int = DEFAULT_NESTING_LIMIT,
-) -> DiffPoly:
+def apply(operator: IntDiffOperator, f: DiffPoly) -> DiffPoly:
     """Evaluate the operator on a ring element, exactly.
 
     Every d^-1 is resolved through the integration engine; irreducible
@@ -174,14 +169,14 @@ def apply(
     each chain on its own raises.
     """
     branches = [(weight, t.chain) for weight, t in operator.terms]
-    return _sum_tree(branches, {(): f}, nesting_limit)
+    return _sum_tree(branches, {(): f})
 
 
-def _sum_tree(branches, memo: dict, nesting_limit: int) -> DiffPoly:
+def _sum_tree(branches, memo: dict) -> DiffPoly:
     """The sum of weight * chain(f) over (weight, chain) branches; memo[()] is f."""
     if len(branches) == 1:
         weight, chain = branches[0]
-        return _lone_chain(chain, memo, nesting_limit) * weight
+        return _lone_chain(chain, memo) * weight
     out = DiffPoly.zero()
     heads = {}
     for weight, chain in branches:
@@ -190,27 +185,25 @@ def _sum_tree(branches, memo: dict, nesting_limit: int) -> DiffPoly:
         else:
             out = out + memo[()] * weight
     for head, rest in heads.items():
-        out = out + _apply_factor(
-            head, _sum_tree(rest, memo, nesting_limit), nesting_limit
-        )
+        out = out + _apply_factor(head, _sum_tree(rest, memo))
     return out
 
 
-def _lone_chain(chain, memo: dict, nesting_limit: int) -> DiffPoly:
+def _lone_chain(chain, memo: dict) -> DiffPoly:
     """The value of one unweighted chain on memo[()], memoized with its suffixes."""
     key = _chain_key(chain)
     value = memo.get(key)
     if value is None:
-        inner = _lone_chain(chain[1:], memo, nesting_limit)
-        value = memo[key] = _apply_factor(chain[0], inner, nesting_limit)
+        inner = _lone_chain(chain[1:], memo)
+        value = memo[key] = _apply_factor(chain[0], inner)
     return value
 
 
-def _apply_factor(factor, value: DiffPoly, nesting_limit: int) -> DiffPoly:
+def _apply_factor(factor, value: DiffPoly) -> DiffPoly:
     if factor is DX:
         return d_x(value)
     if factor is DXINV:
-        return antiderivative(value, nesting_limit)
+        return antiderivative(value)
     return factor * value
 
 

@@ -141,10 +141,7 @@ class PsiDO:
 def _would_be_infinite(a: PsiDO, b: PsiDO) -> bool:
     if not any(k < 0 for k in a.coeffs):
         return False
-    return any(
-        c.terms and any(key != ((), (), 0) for key, _ in c.terms)
-        for c in b.coeffs.values()
-    )
+    return any(not c.is_constant for c in b.coeffs.values())
 
 
 def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
@@ -225,9 +222,7 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
     if depth is None:
         eff = a.trunc_depth
         if a.is_exact and any(
-            k < 0
-            and any(key != ((), (), 0) for key, _ in a.coeffs[k].terms)
-            for k in a.coeffs
+            k < 0 and not c.is_constant for k, c in a.coeffs.items()
         ):
             raise DepthExhausted(
                 "adjoint of an integral tail is an infinite series; "
@@ -281,8 +276,8 @@ def apply(a: PsiDO, f: DiffPoly) -> DiffPoly:
     return out
 
 
-def commutator(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
-    return compose(a, b, depth) - compose(b, a, depth)
+def commutator(a: PsiDO, b: PsiDO) -> PsiDO:
+    return compose(a, b) - compose(b, a)
 
 
 def residuals(a: PsiDO, b: PsiDO, depth: int) -> dict:
@@ -339,6 +334,8 @@ def psido_json(a: PsiDO) -> dict:
 def psido_from_json(data: dict) -> PsiDO:
     try:
         depth = data.get("trunc_depth")
+        if depth is not None and type(depth) is not int:
+            raise ValueError(f"trunc_depth must be an int, got {depth!r}")
         coeffs = {
             int(k): poly_from_json(v) for k, v in data["coeffs"].items()
         }

@@ -9,7 +9,6 @@ from functools import lru_cache
 
 from . import hierarchy
 from .diffring import (
-    DEFAULT_NESTING_LIMIT,
     DiffPoly,
     _lam_factors,
     _lam_power,
@@ -112,9 +111,7 @@ def build_matrix() -> RecursionMatrix:
 
 
 def step(
-    flow_pair: FlowPair,
-    matrix: RecursionMatrix | None = None,
-    nesting_limit: int = DEFAULT_NESTING_LIMIT,
+    flow_pair: FlowPair, matrix: RecursionMatrix | None = None
 ) -> FlowPair:
     """Map the t_m flow to the t_(m+2) flow through the recursion matrix.
 
@@ -123,12 +120,8 @@ def step(
     defect and raises `ResidualNonlocal`.
     """
     mat = matrix if matrix is not None else build_matrix()
-    q_next = apply(mat.r11, flow_pair.q_t, nesting_limit) + apply(
-        mat.r12, flow_pair.r_t, nesting_limit
-    )
-    r_next = apply(mat.r21, flow_pair.q_t, nesting_limit) + apply(
-        mat.r22, flow_pair.r_t, nesting_limit
-    )
+    q_next = apply(mat.r11, flow_pair.q_t) + apply(mat.r12, flow_pair.r_t)
+    r_next = apply(mat.r21, flow_pair.q_t) + apply(mat.r22, flow_pair.r_t)
     for label, value in (("q", q_next), ("r", r_next)):
         if not value.is_local:
             raise ResidualNonlocal(

@@ -209,18 +209,21 @@ class TestIntegrate:
             assert fab == fa + fb
             assert rab == ra + rb
 
-    def test_antiderivative_canonical_modulo_exact_randomized(self):
+    def test_antiderivative_canonical_modulo_exact_randomized(
+        self, monkeypatch
+    ):
         # The antiderivative is a true linear section of d_x: shifting the
         # input by an exact term shifts the output by exactly that term's
         # constant-free part.  This is what makes atoms produced by
         # independent computations cancel.
+        monkeypatch.setattr(diffring, "_NESTING_LIMIT", 4)
         rng = random.Random(SEED)
         for _ in range(100):
             p = random_poly(rng, allow_atoms=True, allow_scale=True)
             h = random_poly(rng, allow_atoms=True, allow_scale=True)
             h = h - constant_part(h)
-            lhs = antiderivative(p + d_x(h), nesting_limit=4)
-            rhs = antiderivative(p, nesting_limit=4) + h
+            lhs = antiderivative(p + d_x(h))
+            rhs = antiderivative(p) + h
             assert lhs == rhs
 
     def test_remainder_canonical_modulo_exact_randomized(self):
@@ -353,20 +356,22 @@ class TestAntiderivative:
             assert parse_poly(poly_text(p)) == p
             assert poly_from_json(poly_json(p)) == p
 
-    def test_nesting_limit(self):
+    def test_nesting_limit(self, monkeypatch):
         inner = antiderivative(Q * R)
         # q^2 * I(qr) is irreducible, so its antiderivative nests once more.
         nested = antiderivative(Q ** 2 * inner)
         assert nested.atom_part() == nested
         assert NonlocalAtom(Q ** 2 * inner).depth == 2
+        monkeypatch.setattr(diffring, "_NESTING_LIMIT", 1)
         with pytest.raises(NestingTooDeep):
-            antiderivative(Q ** 2 * inner, nesting_limit=1)
+            antiderivative(Q ** 2 * inner)
 
-    def test_derivative_inverts_antiderivative_randomized(self):
+    def test_derivative_inverts_antiderivative_randomized(self, monkeypatch):
+        monkeypatch.setattr(diffring, "_NESTING_LIMIT", 3)
         rng = random.Random(SEED)
         for _ in range(100):
             p = random_poly(rng, allow_atoms=True)
-            assert d_x(antiderivative(p, nesting_limit=3)) == p
+            assert d_x(antiderivative(p)) == p
 
 
 class TestProlong:
@@ -1009,6 +1014,22 @@ class TestMemoTables:
         assert diffring._local_reducer.cache_info().currsize == 0
         assert _single_key(p) not in diffring._NF_ATOM_CACHE
         assert integrate(p) == before
+
+    def test_nesting_limit_names_the_constant(self, monkeypatch):
+        p = Q ** 2 * antiderivative(Q * R)
+        clear_caches()
+        before = antiderivative(p)
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "_NESTING_LIMIT", 1)
+            with pytest.raises(NestingTooDeep) as err:
+                antiderivative(p)
+        message = str(err.value)
+        assert "I(q^2*I(q*r))" in message
+        assert "would nest 2 deep" in message
+        assert "diffring._NESTING_LIMIT = 1" in message
+        # A tripped limit leaves no state that changes the next answer.
+        assert antiderivative(p) == before
 
     def test_reentered_build_raises_and_leaves_no_state(self, monkeypatch):
         p = QX * R * antiderivative(Q * R)

@@ -83,6 +83,18 @@ def test_json_rejects_garbage():
         (parse_poly, "q^-1"),
         (poly_from_json, {"terms": [{"coeff": "1/0", "jets": []}]}),
         (operator_from_json, {"terms": [{"weight": "1/0", "chain": []}]}),
+        # Orders, exponents and depths are integers, not merely integral.
+        (
+            poly_from_json,
+            {"terms": [{"coeff": "1", "jets": [["q", 0, 1]], "scale": 0.5}]},
+        ),
+        (poly_from_json, {"terms": [{"coeff": "1", "jets": [["q", 1.0, 1]]}]}),
+        (
+            psido_from_json,
+            {"trunc_depth": 2.5, "coeffs": {"0": {"terms": [
+                {"coeff": "1", "jets": []}
+            ]}}},
+        ),
     ],
 )
 def test_parsers_raise_only_grammar_errors(parse, data):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cckp import diffring
 from cckp.diffring import DiffPoly, antiderivative, d_x
 from cckp.errors import NestingTooDeep
 from cckp.hierarchy import flow
@@ -102,11 +103,12 @@ def test_apply_linearity_randomized():
         assert apply(op, f + g) == apply(op, f) + apply(op, g)
 
 
-def test_apply_nesting_limit():
+def test_apply_nesting_limit(monkeypatch):
     inner = antiderivative(Q * R)
     op = IntDiffOperator(((1, term(DXINV, Q * Q * inner)),))
+    monkeypatch.setattr(diffring, "_NESTING_LIMIT", 1)
     with pytest.raises(NestingTooDeep):
-        apply(op, DiffPoly.one(), nesting_limit=1)
+        apply(op, DiffPoly.one())
 
 
 def test_expand_single_inverse():
@@ -252,11 +254,11 @@ def test_expansion_equality_of_equivalent_forms():
     assert not residuals(lhs, rhs, 5)
 
 
-def _termwise(op, f, nesting_limit=2):
+def _termwise(op, f):
     """The sum of `apply` over the operator's one-term operators."""
     total = DiffPoly.zero()
     for weight, t in op.terms:
-        total = total + apply(IntDiffOperator(((weight, t),)), f, nesting_limit)
+        total = total + apply(IntDiffOperator(((weight, t),)), f)
     return total
 
 
@@ -290,15 +292,16 @@ def _outcome(fn, *args):
         return NestingTooDeep
 
 
-def test_factored_apply_matches_termwise_randomized():
+def test_factored_apply_matches_termwise_randomized(monkeypatch):
     rng = random.Random(SEED)
     outcomes = set()
     for _ in range(80):
         op = _random_chain_operator(rng)
         f = random_local_poly(rng, max_terms=2, max_order=1, max_weight=2)
         for limit in (1, 2):
-            factored = _outcome(apply, op, f, limit)
-            termwise = _outcome(_termwise, op, f, limit)
+            monkeypatch.setattr(diffring, "_NESTING_LIMIT", limit)
+            factored = _outcome(apply, op, f)
+            termwise = _outcome(_termwise, op, f)
             # The factored form raises only where term-by-term evaluation
             # does, and otherwise agrees with it.
             if factored is NestingTooDeep:
@@ -438,9 +441,10 @@ def test_collapse_takes_a_partner_that_sorts_first():
     assert out == _reference_collapse_exact_pairs(op)
 
 
-def test_collapse_preserves_application_randomized():
+def test_collapse_preserves_application_randomized(monkeypatch):
     # By parts, d^-1 (A k v) + d^-1 A' d^-1 (k v) = A d^-1 (k v): the
     # collapse must not change what the operator does to any function.
+    monkeypatch.setattr(diffring, "_NESTING_LIMIT", 4)
     rng = random.Random(SEED)
     fs = (QX, Q * R)
     collapsed = 0
@@ -449,7 +453,7 @@ def test_collapse_preserves_application_randomized():
         out = collapse_exact_pairs(op)
         collapsed += out != op
         for f in fs:
-            assert apply(out, f, 4) == apply(op, f, 4)
+            assert apply(out, f) == apply(op, f)
     assert collapsed > 100
 
 
