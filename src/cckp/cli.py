@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import diffring, hierarchy, recursion
 from .diffring import DiffPoly, scale_substitute, substitute_r_to_q
-from .errors import DepthExhausted, EngineError
+from .errors import EngineError
 from .grammar import poly_json, poly_latex, poly_text
 from .hierarchy import CheckReport, by_order
 from .nonlocal_ops import (
@@ -94,16 +94,17 @@ def _emit_json(payload: dict, out_path) -> int:
     return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _depth_error(exc: DepthExhausted, config: RunConfig) -> int:
-    return _error(f"{exc}; raise --depth (currently {config.depth})")
-
-
 def _flow_index_problem(n: int, config: RunConfig):
     """Why n is not a usable flow index, or None when it is."""
     if n % 2 == 0 or n <= 0:
         return "flow index must be a positive odd integer"
     if n > config.max_flow:
         return f"flow index {n} exceeds the configured maximum {config.max_flow}"
+    if n > config.depth:
+        return (
+            f"computing the order-{n} generator needs depth >= {n}; "
+            f"raise --depth (currently {config.depth})"
+        )
     return None
 
 
@@ -123,11 +124,8 @@ def _latex_document(body: str) -> str:
 def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
     if problem := _flow_index_problem(n, config):
         return _error(problem)
-    try:
-        generator = hierarchy.bn(n, config.depth)
-        fp = hierarchy.flow(n, config.depth)
-    except DepthExhausted as exc:
-        return _depth_error(exc, config)
+    generator = hierarchy.bn(n)
+    fp = hierarchy.flow(n)
     if config.output_format == "json":
         return _emit_json(
             {
@@ -371,23 +369,22 @@ def cmd_export(target: str, n, config: RunConfig, out_path=None) -> int:
     render_psido, render_operator = _RENDERERS[fmt]
     if target == "bn" and n is None:
         return _error("export bn needs a flow index")
+    if target != "bn" and n is not None:
+        return _error(f"export {target} takes no flow index")
     if target == "bn" and (problem := _flow_index_problem(n, config)):
         return _error(problem)
-    try:
-        if target == "recursion-matrix":
-            mat = recursion.build_matrix()
-            content = {
-                name: render_operator(getattr(mat, name))
-                for name in ("r11", "r12", "r21", "r22")
-            }
-        elif target == "lax":
-            content = render_psido(hierarchy.lax_operator(config.depth))
-        elif target == "bn":
-            content = render_psido(hierarchy.bn(n, config.depth))
-        else:
-            return _error(f"unknown export target {target!r}")
-    except DepthExhausted as exc:
-        return _depth_error(exc, config)
+    if target == "recursion-matrix":
+        mat = recursion.build_matrix()
+        content = {
+            name: render_operator(getattr(mat, name))
+            for name in ("r11", "r12", "r21", "r22")
+        }
+    elif target == "lax":
+        content = render_psido(hierarchy.lax_operator(config.depth))
+    elif target == "bn":
+        content = render_psido(hierarchy.bn(n))
+    else:
+        return _error(f"unknown export target {target!r}")
     if fmt == "json":
         return _emit_json({"target": target, "content": content}, out_path)
     if fmt == "text":

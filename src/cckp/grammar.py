@@ -269,15 +269,24 @@ def poly_json(p: DiffPoly) -> dict:
     return {"terms": terms}
 
 
+def rational_from_json(value) -> Fraction:
+    """An exact JSON number: a string such as "-3/4", or a non-bool int."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise GrammarError(f"expected a rational string or integer: {value!r}")
+    return Fraction(value)
+
+
 def poly_from_json(data: dict) -> DiffPoly:
     try:
         out = DiffPoly.zero()
         for term in data["terms"]:
-            piece = DiffPoly.const(Fraction(term["coeff"]))
+            piece = DiffPoly.const(rational_from_json(term["coeff"]))
             for sym, order, power in term["jets"]:
                 piece = piece * DiffPoly.jet(sym, order) ** power
             for atom_data, power in term.get("atoms", ()):
                 integrand = poly_from_json(atom_data)
+                if integrand.is_zero:
+                    raise GrammarError("atom integrand must be nonzero")
                 piece = piece * antiderivative(integrand) ** power
             if term.get("scale", 0):
                 piece = piece * DiffPoly.lam(term["scale"])

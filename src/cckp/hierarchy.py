@@ -45,36 +45,30 @@ class FlowPair:
 
 
 @lru_cache(maxsize=None)
-def _lax_tail(i: int) -> DiffPoly:
-    """Coefficient of d^-i in L: (-1)^(i-1) (q r^(i-1) + r q^(i-1))."""
-    sign = -1 if i % 2 == 0 else 1
-    return (_Q * d_x(_R, i - 1) + _R * d_x(_Q, i - 1)) * sign
+def _lax_tail(i: int, m: int = 0) -> DiffPoly:
+    """d_x^m of L's d^-i coefficient (-1)^(i-1) (q r^(i-1) + r q^(i-1))."""
+    if m:
+        return d_x(_lax_tail(i, m - 1))
+    return (_Q * d_x(_R, i - 1) + _R * d_x(_Q, i - 1)) * (-1) ** (i - 1)
 
 
 @lru_cache(maxsize=None)
 def _power_coeff(k: int, j: int) -> DiffPoly:
-    """Coefficient of d^j in L^k, exact: L^k = L o L^(k-1), L^0 = 1.
+    """Coefficient of d^j in L^k, exact: L^k = L^(k-1) o L, L^0 = 1.
 
-    By the Leibniz rule, d o c d^l = c d^(l+1) + c' d^l and
-    d^-i o c d^l = sum_m C(-i, m) c^(m) d^(l-i-m); L^(k-1) has top order k-1.
+    By the Leibniz rule, c d^l o d = c d^(l+1) and, for each tail t_i d^-i
+    of L, c d^l o t_i d^-i = sum_m C(l, m) c t_i^(m) d^(l-i-m): only the
+    tails of L are differentiated.  L^(k-1) has top order k-1.
     """
     if k == 0:
         return DiffPoly.one() if j == 0 else DiffPoly.zero()
-    out = _power_coeff(k - 1, j - 1) + _power_deriv(k - 1, j, 1)
+    out = _power_coeff(k - 1, j - 1)
     for i in range(1, k - j):
         for m in range(k - j - i):
-            dc = _power_deriv(k - 1, j + i + m, m)
-            if not dc.is_zero:
-                out = out + _lax_tail(i) * dc * gbinom(-i, m)
+            c = _power_coeff(k - 1, j + i + m)
+            if not c.is_zero and (b := gbinom(j + i + m, m)):
+                out = out + c * (_lax_tail(i, m) * b)
     return out
-
-
-@lru_cache(maxsize=None)
-def _power_deriv(k: int, j: int, m: int) -> DiffPoly:
-    """d_x^m of the coefficient of d^j in L^k."""
-    if m == 0:
-        return _power_coeff(k, j)
-    return d_x(_power_deriv(k, j, m - 1))
 
 
 def lax_power(n: int, depth: int | None = None) -> PsiDO:
@@ -102,21 +96,17 @@ def lax_operator(depth: int) -> PsiDO:
     return lax_power(1, depth)
 
 
-def bn(n: int, depth: int | None = None) -> PsiDO:
-    """The flow generator: differential part of L^n."""
+def bn(n: int) -> PsiDO:
+    """The flow generator: differential part of L^n, exact at every order."""
     if n <= 0 or n % 2 == 0:
         raise ValueError("the hierarchy has odd flows only")
-    if depth is not None and depth < n:
-        raise DepthExhausted(
-            f"computing the order-{n} generator needs depth >= {n}"
-        )
     return PsiDO({j: _power_coeff(n, j) for j in range(n + 1)})
 
 
 @lru_cache(maxsize=None)
-def flow(n: int, depth: int | None = None) -> FlowPair:
+def flow(n: int) -> FlowPair:
     """The t_n flow (B_n(q), B_n(r))."""
-    generator = bn(n, depth)
+    generator = bn(n)
     return FlowPair(n, apply(generator, _Q), apply(generator, _R))
 
 
@@ -126,7 +116,7 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    for cached in (_lax_tail, _power_coeff, _power_deriv, flow):
+    for cached in (_lax_tail, _power_coeff, flow):
         cached.cache_clear()
     diffring.clear_caches()
 

@@ -29,6 +29,7 @@ from .grammar import (
     _signed_sum,
     poly_from_json,
     poly_json,
+    rational_from_json,
 )
 from .psido import PsiDO, compose
 
@@ -436,7 +437,8 @@ def operator_from_json(data: dict) -> IntDiffOperator:
                     chain.append(poly_from_json(factor["poly"]))
                 else:
                     raise GrammarError(f"unknown chain factor kind {kind!r}")
-            out.append((Fraction(entry["weight"]), IntDiffTerm(chain)))
+            weight = rational_from_json(entry["weight"])
+            out.append((weight, IntDiffTerm(chain)))
         return IntDiffOperator(out)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrammarError(f"malformed operator JSON: {exc}") from exc

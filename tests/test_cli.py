@@ -23,7 +23,7 @@ def run(capsys, *argv):
 @pytest.fixture
 def clean_env(monkeypatch):
     """No CCKP_* variable from the calling shell reaches the command."""
-    for var in ("DEPTH", "MAX_FLOW", "FORMAT", "NESTING_LIMIT"):
+    for var in ("DEPTH", "MAX_FLOW", "FORMAT"):
         monkeypatch.delenv(f"CCKP_{var}", raising=False)
 
 
@@ -245,6 +245,32 @@ def test_export_bn_rejects_bad_flow_index(capsys, n):
     assert code == 2
     assert out == ""
     assert err == "error: flow index must be a positive odd integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("derive", "9", "--max-flow", "9", "--depth", "5"), 9),
+        (("export", "bn", "7", "--depth", "3"), 7),
+    ],
+)
+def test_generator_depth_error_is_exact(capsys, clean_env, argv, n):
+    depth = argv[-1]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: computing the order-{n} generator needs depth >= {n}; "
+        f"raise --depth (currently {depth})\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["lax", "recursion-matrix"])
+def test_export_rejects_a_flow_index_it_would_ignore(capsys, clean_env, target):
+    code, out, err = run(capsys, "export", target, "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: export {target} takes no flow index\n"
 
 
 def test_export_bn_respects_max_flow(capsys, monkeypatch):

@@ -95,6 +95,19 @@ def test_json_rejects_garbage():
                 {"coeff": "1", "jets": []}
             ]}}},
         ),
+        # Coefficients and weights are strings or ints, not floats or bools.
+        (poly_from_json, {"terms": [{"coeff": 0.1, "jets": [["q", 0, 1]]}]}),
+        (poly_from_json, {"terms": [{"coeff": True, "jets": [["q", 0, 1]]}]}),
+        (
+            operator_from_json,
+            {"terms": [{"weight": 0.1, "chain": [{"kind": "dx"}]}]},
+        ),
+        # An atom needs a nonzero integrand, as in the text form.
+        (
+            poly_from_json,
+            {"terms": [{"coeff": "1", "jets": [["q", 0, 1]],
+                        "atoms": [[{"terms": []}, 1]]}]},
+        ),
     ],
 )
 def test_parsers_raise_only_grammar_errors(parse, data):

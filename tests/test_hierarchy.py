@@ -234,11 +234,33 @@ class TestGenerators:
     def test_memoized_power_matches_iterated_compose(self, n):
         # Same coefficients, trusted depth and errors as composing whole
         # operators, on every depth from too shallow to past the default.
+        # bn is exact, so it matches the reference wherever that is trusted.
         for depth in (*range(12), None):
             assert outcome(lax_power, n, depth) == outcome(
                 reference_lax_power, n, depth
             )
-            assert outcome(bn, n, depth) == outcome(reference_bn, n, depth)
+            expected = outcome(reference_bn, n, depth)
+            if expected is not DepthExhausted:
+                assert outcome(bn, n) == expected
+
+    def test_generator_table_differentiates_only_the_tails(self, monkeypatch):
+        # L^k = L^(k-1) o L: the Leibniz rule meets only L's own tails.
+        hierarchy.clear_caches()
+        seen = []
+
+        def spy(p, n=1):
+            seen.append(p)
+            return d_x(p, n)
+
+        monkeypatch.setattr(hierarchy, "d_x", spy)
+        bn(11)
+        monkeypatch.undo()
+        hierarchy._lax_tail.cache_clear()
+        tails = {
+            hierarchy._lax_tail(i, m) for i in range(1, 12) for m in range(11)
+        }
+        assert seen
+        assert all(p in tails or p in (Q, R) for p in seen)
 
     def test_cube_residue_identity(self):
         cube = lax_power(3)
@@ -328,7 +350,6 @@ class TestFlows:
         assert {f.__name__ for f in cached} >= {
             "_lax_tail",
             "_power_coeff",
-            "_power_deriv",
             "flow",
         }
         assert all(f.cache_info().currsize == 0 for f in cached)

@@ -98,7 +98,7 @@ class TestStep:
 
     def test_t7_to_t9_cross_check(self):
         out = step(flow(7))
-        target = flow(9, depth=12)
+        target = flow(9)
         assert out.q_t == target.q_t
         assert out.r_t == target.r_t
 
