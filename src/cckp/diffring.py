@@ -23,8 +23,13 @@ The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
 recorded whole and reused by later walks, and a reducer build computes each
 key's priority once.  The key kernels do no more than their inputs need: a
-product skips empty factor tuples and inserts a one-factor side by bisection,
-and a one-order jet shift looks only at the shifted factor's neighbour.
+product skips empty factor tuples, inserts a one-factor side by bisection and
+merges two longer sorted factor tuples in one two-pointer pass, and a
+one-order jet shift looks only at the shifted factor's neighbour.
+
+A sum of many polynomials goes through one rule, `poly_sum`: every weighted
+piece is added into one sparse dict and the result is sorted once, where a
+chain of ``+`` would sort every partial sum again.
 """
 
 from __future__ import annotations
@@ -64,10 +69,23 @@ def _merge_factors(a, b):
         return _insert_factor(a, *b[0])
     if len(a) == 1:
         return _insert_factor(b, *a[0])
-    d = dict(a)
-    for k, p in b:
-        d[k] = d.get(k, 0) + p
-    return tuple(sorted(d.items()))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        fa, pa = a[i]
+        fb, pb = b[j]
+        if fa == fb:
+            out.append((fa, pa + pb))
+            i += 1
+            j += 1
+        elif fa < fb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _insert_factor(factors, f, p):
@@ -98,6 +116,19 @@ def _addto(acc: dict, items, c=None) -> None:
             acc[k] = nv
         elif k in acc:
             del acc[k]
+
+
+def poly_sum(pieces) -> DiffPoly:
+    """The sum of c * p over (c, p) pairs: one sparse dict, one canonical sort.
+
+    The weights c are rationals.  No partial sum is built as a `DiffPoly`,
+    and pieces given by a generator are added one at a time, so each can be
+    freed before the next is made.
+    """
+    acc = {}
+    for c, p in pieces:
+        _addto(acc, p.terms, None if c == 1 else c)
+    return DiffPoly._from_dict(acc)
 
 
 def _drop_one(factors, i):
@@ -309,6 +340,8 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DiffPoly":
+        if type(n) is not int:
+            raise ValueError("ring powers must be ints")
         if n < 0:
             raise ValueError("negative powers are not defined in the ring")
         out = _ONE_POLY

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .diffring import DiffPoly, antiderivative
+from .diffring import DiffPoly, antiderivative, poly_sum
 from .errors import GrammarError
 
 _TOKEN = re.compile(
@@ -154,14 +154,14 @@ class _Parser:
         return sign
 
     def parse_expr(self) -> DiffPoly:
-        total = DiffPoly.zero()
+        pieces = []
         sign = self._parse_sign()
         while True:
-            total = total + sign * self.parse_term()
+            pieces.append((sign, self.parse_term()))
             if self.tok in (("op", "+"), ("op", "-")):
                 sign = self._parse_sign()
             else:
-                return total
+                return poly_sum(pieces)
 
     def parse_term(self) -> DiffPoly:
         out = self.parse_factor()
@@ -278,7 +278,7 @@ def rational_from_json(value) -> Fraction:
 
 def poly_from_json(data: dict) -> DiffPoly:
     try:
-        out = DiffPoly.zero()
+        pieces = []
         for term in data["terms"]:
             piece = DiffPoly.const(rational_from_json(term["coeff"]))
             for sym, order, power in term["jets"]:
@@ -290,7 +290,7 @@ def poly_from_json(data: dict) -> DiffPoly:
                 piece = piece * antiderivative(integrand) ** power
             if term.get("scale", 0):
                 piece = piece * DiffPoly.lam(term["scale"])
-            out = out + piece
-        return out
+            pieces.append((1, piece))
+        return poly_sum(pieces)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrammarError(f"malformed polynomial JSON: {exc}") from exc

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import diffring
-from .diffring import DiffPoly, d_x, prolong_t
+from .diffring import DiffPoly, d_x, poly_sum, prolong_t
 from .errors import DepthExhausted
 from .psido import (
     PsiDO,
@@ -49,7 +49,8 @@ def _lax_tail(i: int, m: int = 0) -> DiffPoly:
     """d_x^m of L's d^-i coefficient (-1)^(i-1) (q r^(i-1) + r q^(i-1))."""
     if m:
         return d_x(_lax_tail(i, m - 1))
-    return (_Q * d_x(_R, i - 1) + _R * d_x(_Q, i - 1)) * (-1) ** (i - 1)
+    sign = (-1) ** (i - 1)
+    return poly_sum(((sign, _Q * d_x(_R, i - 1)), (sign, _R * d_x(_Q, i - 1))))
 
 
 @lru_cache(maxsize=None)
@@ -62,13 +63,21 @@ def _power_coeff(k: int, j: int) -> DiffPoly:
     """
     if k == 0:
         return DiffPoly.one() if j == 0 else DiffPoly.zero()
-    out = _power_coeff(k - 1, j - 1)
+    return poly_sum(_power_pieces(k, j))
+
+
+def _power_pieces(k: int, j: int):
+    """The binomial-weighted products that sum to `_power_coeff(k, j)`.
+
+    They are made one at a time, so `poly_sum` adds each into its sum
+    before the next is computed.
+    """
+    yield 1, _power_coeff(k - 1, j - 1)
     for i in range(1, k - j):
         for m in range(k - j - i):
             c = _power_coeff(k - 1, j + i + m)
             if not c.is_zero and (b := gbinom(j + i + m, m)):
-                out = out + c * (_lax_tail(i, m) * b)
-    return out
+                yield b, c * _lax_tail(i, m)
 
 
 def lax_power(n: int, depth: int | None = None) -> PsiDO:

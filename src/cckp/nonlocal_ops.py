@@ -17,6 +17,7 @@ from .diffring import (
     _fr,
     antiderivative,
     d_x,
+    poly_sum,
     substitute_r_to_q as poly_substitute_r_to_q,
     swap_q_r as poly_swap_q_r,
 )
@@ -163,31 +164,34 @@ def apply(operator: IntDiffOperator, f: DiffPoly) -> DiffPoly:
     The chains are evaluated as one tree.  Every factor is linear (a
     multiplier, d, or d^-1 with canonical atoms), so the chains that begin
     with the same factor are summed first and that factor is applied once to
-    the sum.  A lone chain is evaluated once per call and scaled by its
-    weight wherever it is met again.  Each sum integrated here is a linear
-    combination of what term-by-term evaluation integrates, so its
+    the sum.  A lone chain is evaluated once per call and enters the sum
+    with its weight wherever it is met again.  Each sum integrated here is a
+    linear combination of what term-by-term evaluation integrates, so its
     monomials are a subset of theirs: this can raise only where applying
     each chain on its own raises.
     """
     branches = [(weight, t.chain) for weight, t in operator.terms]
-    return _sum_tree(branches, {(): f})
+    return poly_sum(_tree_pieces(branches, {(): f}))
 
 
-def _sum_tree(branches, memo: dict) -> DiffPoly:
-    """The sum of weight * chain(f) over (weight, chain) branches; memo[()] is f."""
-    if len(branches) == 1:
-        weight, chain = branches[0]
-        return _lone_chain(chain, memo) * weight
-    out = DiffPoly.zero()
+def _tree_pieces(branches, memo: dict):
+    """The (weight, chain(f)) pieces of the (weight, chain) branches' sum.
+
+    memo[()] is f.  Pieces are made one at a time, so `poly_sum` adds each
+    into its sum before the next is computed.
+    """
     heads = {}
     for weight, chain in branches:
         if chain:
             heads.setdefault(chain[0], []).append((weight, chain[1:]))
         else:
-            out = out + memo[()] * weight
+            yield weight, memo[()]
     for head, rest in heads.items():
-        out = out + _apply_factor(head, _sum_tree(rest, memo))
-    return out
+        if len(rest) == 1:
+            weight, chain = rest[0]
+            yield weight, _apply_factor(head, _lone_chain(chain, memo))
+        else:
+            yield 1, _apply_factor(head, poly_sum(_tree_pieces(rest, memo)))
 
 
 def _lone_chain(chain, memo: dict) -> DiffPoly:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .diffring import DiffPoly, _products_into, d_x
+from .diffring import DiffPoly, _products_into, d_x, poly_sum
 from .errors import DepthExhausted, GrammarError, NegativeOrderApplication
 from .grammar import (
     LATEX,
@@ -267,13 +267,10 @@ def apply(a: PsiDO, f: DiffPoly) -> DiffPoly:
         raise NegativeOrderApplication(
             f"operator has integral orders {sorted(negative)}"
         )
-    out = DiffPoly.zero()
     derivs = [f]
-    for k in sorted(a.coeffs):
-        while len(derivs) <= k:
-            derivs.append(d_x(derivs[-1]))
-        out = out + a.coeffs[k] * derivs[k]
-    return out
+    for _ in range(max(a.coeffs, default=0)):
+        derivs.append(d_x(derivs[-1]))
+    return poly_sum((1, c * derivs[k]) for k, c in a.coeffs.items())
 
 
 def commutator(a: PsiDO, b: PsiDO) -> PsiDO:

@@ -128,6 +128,44 @@ class TestCoefficientTypes:
         assert _coeff_types(Fraction(1, 2) * Q) == {Fraction}
 
 
+class TestPolySum:
+    """`poly_sum` against a chain of `+` over the same weighted pieces."""
+
+    def test_matches_iterated_addition_randomized(self):
+        rng = random.Random(SEED)
+        seen = set()
+        for _ in range(300):
+            pieces = []
+            for _ in range(rng.randint(0, 5)):
+                weight = rng.choice((
+                    1, -1, rng.randint(-3, 3),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                ))
+                p = random_poly(rng, allow_atoms=True, allow_scale=True)
+                pieces.append((weight, p))
+            if pieces and rng.random() < 0.2:
+                # The same pieces again with opposite weights: the sum is 0.
+                pieces += [(-w, p) for w, p in pieces]
+            expected = DiffPoly.zero()
+            for w, p in pieces:
+                expected = expected + p * w
+            got = diffring.poly_sum(pieces)
+            assert got == expected
+            assert got.terms == tuple(sorted(got.terms))
+            for _, c in got.terms:
+                assert c and type(c) is (int if c.denominator == 1 else Fraction)
+            seen.add((
+                len(pieces) > 0,
+                got.is_zero,
+                any(isinstance(w, Fraction) for w, _ in pieces)
+                and any(type(c) is int for _, c in got.terms),
+            ))
+        # Empty inputs, sums that cancel, and Fraction weights whose sums
+        # come out integral all occurred.
+        assert {(False, True, False), (True, True, False)} <= seen
+        assert (True, False, True) in seen
+
+
 class TestDerivative:
     def test_jet_bump(self):
         assert d_x(Q) == QX

@@ -108,6 +108,14 @@ def test_json_rejects_garbage():
             {"terms": [{"coeff": "1", "jets": [["q", 0, 1]],
                         "atoms": [[{"terms": []}, 1]]}]},
         ),
+        # A power is an int, not a bool: `true` is not the power 1.
+        (poly_from_json, {"terms": [{"coeff": "1", "jets": [["q", 0, True]]}]}),
+        (
+            poly_from_json,
+            {"terms": [{"coeff": "1", "jets": [], "atoms": [[
+                {"terms": [{"coeff": "1", "jets": [["q", 0, 2]]}]}, True
+            ]]}]},
+        ),
     ],
 )
 def test_parsers_raise_only_grammar_errors(parse, data):

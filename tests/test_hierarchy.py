@@ -262,6 +262,31 @@ class TestGenerators:
         assert seen
         assert all(p in tails or p in (Q, R) for p in seen)
 
+    def test_hot_sums_make_no_ring_additions(self, monkeypatch):
+        # The L^k table, B_n applied to q and the nonlocal chain tree sum
+        # their pieces in one poly_sum; every product is still a ring product.
+        from cckp.nonlocal_ops import apply as apply_chains
+
+        r11, q3 = recursion.build_matrix().r11, flow(3).q_t
+        hierarchy.clear_caches()
+        calls = dict.fromkeys(("__add__", "__mul__"), 0)
+
+        def spying(name):
+            method = getattr(DiffPoly, name)
+
+            def spy(self, other):
+                calls[name] += 1
+                return method(self, other)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(DiffPoly, name, spying(name))
+        bn(11)
+        assert calls["__add__"] == 0 and calls["__mul__"] > 0
+        apply_chains(r11, q3)
+        assert calls["__add__"] == 0
+
     def test_cube_residue_identity(self):
         cube = lax_power(3)
         qr_t3 = prolong_t(Q * R, T3_Q, T3_R)
