@@ -41,7 +41,6 @@ from .nonlocal_ops import (
     DX,
     DXINV,
     IntDiffOperator,
-    IntDiffTerm,
     expand_to_psido,
     term,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "DX",
     "DXINV",
     "IntDiffOperator",
-    "IntDiffTerm",
     "expand_to_psido",
     "term",
     "PsiDO",

@@ -18,7 +18,6 @@ from .psido import (
     adjoint,
     apply,
     commutator,
-    compose,
     gbinom,
     minus_part,
     residuals,
@@ -188,25 +187,15 @@ def check_lax(n: int, depth: int) -> CheckReport:
 def right_coefficients(a: PsiDO, count: int) -> list:
     """Rewrite the integral part as d^-1 a_1 + d^-2 a_2 + ... and return [a_j].
 
-    Iteratively peels the topmost remaining negative order; each step is an
-    exact Leibniz expansion of d^-j composed with the found coefficient.
+    The adjoint of d^-j a_j is (-1)^j a_j d^-j, so a_j is (-1)^j times the
+    d^-j coefficient of the integral part's adjoint.
     """
     if a.trunc_depth < count:
         raise DepthExhausted(
             f"need depth {count} to extract {count} right coefficients"
         )
-    work = minus_part(a)
-    out = []
-    for j in range(1, count + 1):
-        aj = work.coeffs.get(-j, DiffPoly.zero())
-        out.append(aj)
-        if aj.is_zero:
-            continue
-        expansion = compose(
-            PsiDO.d(-j), PsiDO.from_poly(aj), work.trunc_depth
-        )
-        work = work - expansion
-    return out
+    star = adjoint(minus_part(a), count)
+    return [(-1) ** j * star.coeff(-j) for j in range(1, count + 1)]
 
 
 def check_residue_coefficients(m: int) -> CheckReport:

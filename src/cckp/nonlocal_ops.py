@@ -9,7 +9,6 @@ under the engine's zero-constant convention.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .diffring import (
@@ -62,94 +61,55 @@ def _normalize_chain(factors) -> tuple:
 
 
 def _chain_key(chain):
+    """The sort key that orders an operator's chains."""
     return tuple(
         ("m", f.terms) if _is_mul(f) else (f,) for f in chain
     )
 
 
-class IntDiffTerm:
-    """One weighted chain of multiplier / d / d^-1 factors."""
-
-    __slots__ = ("chain",)
-
-    def __init__(self, factors: Iterable):
-        chain = _normalize_chain(factors)
-        if chain is None:
-            chain = (DiffPoly.zero(),)
-        self.chain = chain
-
-    def __eq__(self, other):
-        return isinstance(other, IntDiffTerm) and _chain_key(
-            self.chain
-        ) == _chain_key(other.chain)
-
-    def __hash__(self):
-        return hash(_chain_key(self.chain))
-
-    def __repr__(self):
-        return term_text(self)
-
-
 class IntDiffOperator:
-    """Rational-weighted sum of chains, canonical up to chain identity."""
+    """Rational-weighted sum of chains, canonical up to chain identity.
+
+    A chain is a normalized tuple of factors; `terms` holds sorted
+    (weight, chain) pairs with distinct chains and nonzero weights.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable = ()):
         merged = {}
-        for weight, term in terms:
+        for weight, factors in terms:
             weight = _fr(weight)
-            if not isinstance(term, IntDiffTerm):
-                term = IntDiffTerm(term)
-            key = _chain_key(term.chain)
-            if key in merged:
-                merged[key] = (_fr(merged[key][0] + weight), term)
-            else:
-                merged[key] = (weight, term)
+            chain = _normalize_chain(factors)
+            if chain is not None:
+                merged[chain] = _fr(merged.get(chain, 0) + weight)
         self.terms = tuple(
-            (w, t)
-            for key, (w, t) in sorted(merged.items(), key=lambda kv: kv[0])
-            if w and not _chain_is_zero(t.chain)
+            (w, chain)
+            for chain, w in sorted(
+                merged.items(), key=lambda kv: _chain_key(kv[0])
+            )
+            if w
         )
 
     def __eq__(self, other):
         return isinstance(other, IntDiffOperator) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple((w, _chain_key(t.chain)) for w, t in self.terms))
+        return hash(self.terms)
 
     def __add__(self, other):
         if not isinstance(other, IntDiffOperator):
             return NotImplemented
         return IntDiffOperator(self.terms + other.terms)
 
-    def __neg__(self):
-        return IntDiffOperator(tuple((-w, t) for w, t in self.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, IntDiffOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return IntDiffOperator(
-                tuple((w * scalar, t) for w, t in self.terms)
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return operator_text(self)
 
 
-def term(*factors) -> IntDiffTerm:
-    return IntDiffTerm(factors)
-
-
-def _chain_is_zero(chain) -> bool:
-    return len(chain) == 1 and _is_mul(chain[0]) and chain[0].is_zero
+def term(*factors) -> tuple:
+    """The normalized chain of `factors`; a zero multiplier gives (0,)."""
+    chain = _normalize_chain(factors)
+    return (DiffPoly.zero(),) if chain is None else chain
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -170,8 +130,7 @@ def apply(operator: IntDiffOperator, f: DiffPoly) -> DiffPoly:
     monomials are a subset of theirs: this can raise only where applying
     each chain on its own raises.
     """
-    branches = [(weight, t.chain) for weight, t in operator.terms]
-    return poly_sum(_tree_pieces(branches, {(): f}))
+    return poly_sum(_tree_pieces(operator.terms, {(): f}))
 
 
 def _tree_pieces(branches, memo: dict):
@@ -196,11 +155,10 @@ def _tree_pieces(branches, memo: dict):
 
 def _lone_chain(chain, memo: dict) -> DiffPoly:
     """The value of one unweighted chain on memo[()], memoized with its suffixes."""
-    key = _chain_key(chain)
-    value = memo.get(key)
+    value = memo.get(chain)
     if value is None:
         inner = _lone_chain(chain[1:], memo)
-        value = memo[key] = _apply_factor(chain[0], inner)
+        value = memo[chain] = _apply_factor(chain[0], inner)
     return value
 
 
@@ -212,17 +170,17 @@ def _apply_factor(factor, value: DiffPoly) -> DiffPoly:
     return factor * value
 
 
-def expand_term_to_psido(t: IntDiffTerm, depth: int) -> PsiDO:
+def expand_term_to_psido(chain: tuple, depth: int) -> PsiDO:
     if depth < 1:
         raise ValueError("expansion depth must be >= 1")
     budgets = []
     need = depth
-    for factor in t.chain:
+    for factor in chain:
         budgets.append(need)
         if factor is DX:
             need += 1
     acc = None
-    for factor, budget in zip(reversed(t.chain), reversed(budgets)):
+    for factor, budget in zip(reversed(chain), reversed(budgets)):
         if factor is DX:
             piece = PsiDO.d()
         elif factor is DXINV:
@@ -242,9 +200,9 @@ def expand_term_to_psido(t: IntDiffTerm, depth: int) -> PsiDO:
 def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
     """Series form of the operator: every d^-1 expanded by Leibniz."""
     out = PsiDO.zero(depth)
-    for weight, t in operator.terms:
+    for weight, chain in operator.terms:
         # The sum keeps the smaller depth and drops the orders below it.
-        out = out + expand_term_to_psido(t, depth) * weight
+        out = out + expand_term_to_psido(chain, depth) * weight
     return out
 
 
@@ -252,11 +210,10 @@ def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
 
 
 def _map_payloads(operator: IntDiffOperator, fn) -> IntDiffOperator:
-    out = []
-    for weight, t in operator.terms:
-        chain = tuple(fn(f) if _is_mul(f) else f for f in t.chain)
-        out.append((weight, IntDiffTerm(chain)))
-    return IntDiffOperator(out)
+    return IntDiffOperator(
+        (weight, tuple(fn(f) if _is_mul(f) else f for f in chain))
+        for weight, chain in operator.terms
+    )
 
 
 def substitute_r_to_q(operator: IntDiffOperator) -> IntDiffOperator:
@@ -274,20 +231,20 @@ def swap_q_r(operator: IntDiffOperator) -> IntDiffOperator:
 def distribute(operator: IntDiffOperator) -> IntDiffOperator:
     """Split every multiplier into monic monomials, weights carrying content."""
     out = []
-    for weight, t in operator.terms:
+    for weight, chain in operator.terms:
         pieces = [(weight, [])]
-        for factor in t.chain:
+        for factor in chain:
             if not _is_mul(factor):
-                for _, chain in pieces:
-                    chain.append(factor)
+                for _, factors in pieces:
+                    factors.append(factor)
                 continue
             new_pieces = []
-            for w, chain in pieces:
+            for w, factors in pieces:
                 for key, c in factor.terms:
                     mono = DiffPoly.monomial(key)
-                    new_pieces.append((w * c, chain + [mono]))
+                    new_pieces.append((w * c, factors + [mono]))
             pieces = new_pieces
-        out.extend((w, IntDiffTerm(chain)) for w, chain in pieces)
+        out.extend(pieces)
     return IntDiffOperator(out)
 
 
@@ -300,8 +257,7 @@ def eliminate_trailing_dx(operator: IntDiffOperator) -> IntDiffOperator:
     out = []
     stack = list(operator.terms)
     while stack:
-        weight, t = stack.pop()
-        chain = t.chain
+        weight, chain = stack.pop()
         hit = None
         for i in range(len(chain) - 2):
             if (
@@ -312,15 +268,15 @@ def eliminate_trailing_dx(operator: IntDiffOperator) -> IntDiffOperator:
                 hit = i
                 break
         if hit is None:
-            out.append((weight, t))
+            out.append((weight, chain))
             continue
         f = chain[hit + 1]
         head, tail = chain[:hit], chain[hit + 3 :]
-        stack.append((weight, IntDiffTerm(head + (f,) + tail)))
+        stack.append((weight, term(*head, f, *tail)))
         dxf = d_x(f)
         if not dxf.is_zero:
             stack.append(
-                (-weight, IntDiffTerm(head + (DXINV, dxf) + tail))
+                (-weight, term(*head, DXINV, dxf, *tail))
             )
     return IntDiffOperator(out)
 
@@ -337,12 +293,12 @@ def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
     has collapsed or has been taken as a partner joins no other pair.
     """
     terms = operator.terms
-    index = {(w, _chain_key(t.chain)): j for j, (w, t) in enumerate(terms)}
+    index = {pair: j for j, pair in enumerate(terms)}
     collapsed, partners = {}, set()
-    for i, (w, t) in enumerate(terms):
-        head, payload = t.chain[:-2], t.chain[-1]
+    for i, (w, chain) in enumerate(terms):
+        head, payload = chain[:-2], chain[-1]
         if (
-            i in partners or len(t.chain) < 2 or t.chain[-2] is not DXINV
+            i in partners or len(chain) < 2 or chain[-2] is not DXINV
             or not _is_mul(payload) or len(payload.terms) != 1
         ):
             continue
@@ -352,15 +308,15 @@ def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
             k_poly = DiffPoly((((jets, remaining, scale), coeff),))
             # Already normal: a d^-1 stands between any two multipliers.
             partner = head + (DXINV, DiffPoly.monomial(akey), DXINV, k_poly)
-            j = index.get((w, _chain_key(partner)))
+            j = index.get((w, partner))
             if j is not None and j not in partners and j not in collapsed:
                 partners.add(j)
                 atom = DiffPoly.monomial(((), ((akey, 1),), 0))
-                collapsed[i] = IntDiffTerm(head + (atom, DXINV, k_poly))
+                collapsed[i] = head + (atom, DXINV, k_poly)
                 break
     return IntDiffOperator(
-        (w, collapsed.get(i, t))
-        for i, (w, t) in enumerate(terms)
+        (w, collapsed.get(i, chain))
+        for i, (w, chain) in enumerate(terms)
         if i not in partners
     )
 
@@ -378,9 +334,9 @@ def _run_length_factors(chain):
     return out
 
 
-def _render_term(t: IntDiffTerm, s) -> str:
+def _render_chain(chain: tuple, s) -> str:
     pieces = []
-    for factor, count in _run_length_factors(t.chain):
+    for factor, count in _run_length_factors(chain):
         if factor is DX:
             pieces.append(_power(s, s.d, count))
         elif factor is DXINV:
@@ -392,15 +348,11 @@ def _render_term(t: IntDiffTerm, s) -> str:
 
 def _render(operator: IntDiffOperator, s) -> str:
     pieces = []
-    for weight, t in operator.terms:
-        body = _render_term(t, s)
+    for weight, chain in operator.terms:
+        body = _render_chain(chain, s)
         mag = abs(weight)
         pieces.append((weight, body if mag == 1 else f"{s.coeff(mag)} {body}"))
     return _signed_sum(pieces, s.minus)
-
-
-def term_text(t: IntDiffTerm) -> str:
-    return _render_term(t, TEXT)
 
 
 def operator_text(operator: IntDiffOperator) -> str:
@@ -413,16 +365,16 @@ def operator_latex(operator: IntDiffOperator) -> str:
 
 def operator_json(operator: IntDiffOperator) -> dict:
     terms = []
-    for weight, t in operator.terms:
-        chain = []
-        for factor in t.chain:
+    for weight, chain in operator.terms:
+        factors = []
+        for factor in chain:
             if factor is DX:
-                chain.append({"kind": "dx"})
+                factors.append({"kind": "dx"})
             elif factor is DXINV:
-                chain.append({"kind": "dxinv"})
+                factors.append({"kind": "dxinv"})
             else:
-                chain.append({"kind": "mul", "poly": poly_json(factor)})
-        terms.append({"weight": str(weight), "chain": chain})
+                factors.append({"kind": "mul", "poly": poly_json(factor)})
+        terms.append({"weight": str(weight), "chain": factors})
     return {"terms": terms}
 
 
@@ -442,7 +394,7 @@ def operator_from_json(data: dict) -> IntDiffOperator:
                 else:
                     raise GrammarError(f"unknown chain factor kind {kind!r}")
             weight = rational_from_json(entry["weight"])
-            out.append((weight, IntDiffTerm(chain)))
+            out.append((weight, chain))
         return IntDiffOperator(out)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrammarError(f"malformed operator JSON: {exc}") from exc

@@ -337,5 +337,5 @@ def psido_from_json(data: dict) -> PsiDO:
             int(k): poly_from_json(v) for k, v in data["coeffs"].items()
         }
         return PsiDO(coeffs, EXACT_DEPTH if depth is None else depth)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GrammarError(f"malformed operator JSON: {exc}") from exc

@@ -182,12 +182,13 @@ def scale_operator(operator: IntDiffOperator, lambda_sq) -> IntDiffOperator:
     payload and chain is checked before any payload is renamed.
     """
     exponents = [
-        (sum(_lam_power(f) for f in t.chain if f not in (DX, DXINV)), t)
-        for _, t in operator.terms
+        (sum(_lam_power(f) for f in chain if f not in (DX, DXINV)), chain)
+        for _, chain in operator.terms
     ]
     factors = _lam_factors(lambda_sq, exponents)
     scaled = IntDiffOperator(
-        (weight * f, t) for (weight, t), f in zip(operator.terms, factors)
+        (weight * f, chain)
+        for (weight, chain), f in zip(operator.terms, factors)
     )
     return _map_payloads(scaled, _rename_q_to_u)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cckp
 from cckp import recursion
 from cckp.cli import RunConfig, main
 from cckp.grammar import parse_poly, poly_from_json
@@ -372,3 +373,8 @@ def test_readme_cli_example(capsys, clean_env, monkeypatch, tmp_path, argv):
     assert argv[0] == "cckp"
     code, _, err = run(capsys, *argv[1:])
     assert code == 0, err
+
+
+def test_package_exports_resolve():
+    # `from cckp import *` fails on any name in __all__ the package lacks.
+    assert [name for name in cckp.__all__ if not hasattr(cckp, name)] == []

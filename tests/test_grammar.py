@@ -19,7 +19,6 @@ from cckp.nonlocal_ops import (
     DX,
     DXINV,
     IntDiffOperator,
-    IntDiffTerm,
     operator_from_json,
     operator_latex,
     operator_text,
@@ -116,6 +115,9 @@ def test_json_rejects_garbage():
                 {"terms": [{"coeff": "1", "jets": [["q", 0, 2]]}]}, True
             ]]}]},
         ),
+        # The operator and its coefficient table are JSON objects.
+        (psido_from_json, []),
+        (psido_from_json, {"coeffs": []}),
     ],
 )
 def test_parsers_raise_only_grammar_errors(parse, data):

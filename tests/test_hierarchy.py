@@ -434,9 +434,10 @@ class TestResidueCoefficients:
     def test_residue_derivative_identity(self, m):
         assert residue_identity(m).is_zero
 
-    def test_right_form_reconstructs(self):
+    @pytest.mark.parametrize("m", (1, 3, 5, 7))
+    def test_right_form_reconstructs(self, m):
         # Right coefficients reassemble the integral tail exactly.
-        power = lax_power(3)
+        power = lax_power(m)
         coeffs = right_coefficients(power, 4)
         total = PsiDO.zero(4)
         for j, aj in enumerate(coeffs, start=1):

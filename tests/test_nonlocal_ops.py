@@ -13,7 +13,6 @@ from cckp.nonlocal_ops import (
     DX,
     DXINV,
     IntDiffOperator,
-    IntDiffTerm,
     _chain_key,
     _is_mul,
     apply,
@@ -39,9 +38,9 @@ QX = DiffPoly.jet("q", 1)
 
 
 def test_chain_normalization():
-    t = IntDiffTerm((Q, R, DXINV, 2 * Q))
-    assert t.chain == (Q * R, DXINV, 2 * Q)
-    assert IntDiffTerm((Q,)) == IntDiffTerm((Q * DiffPoly.one(),))
+    t = term(Q, R, DXINV, 2 * Q)
+    assert t == (Q * R, DXINV, 2 * Q)
+    assert term(Q) == term(Q * DiffPoly.one())
 
 
 def test_operator_merges_identical_chains():
@@ -50,6 +49,19 @@ def test_operator_merges_identical_chains():
     )
     assert len(op.terms) == 1
     assert op.terms[0][0] == Fraction(5)
+    # A raw factor list merges with the chain it normalizes to; a chain with
+    # a zero multiplier drops out.
+    op = IntDiffOperator(
+        (
+            (1, [Q, R, DXINV, Q]),
+            (2, term(Q * R, DXINV, Q)),
+            (4, [Q, DXINV, DiffPoly.zero()]),
+            (5, term(DiffPoly.zero())),
+        )
+    )
+    assert op.terms == ((3, (Q * R, DXINV, Q)),)
+    for pair in build_matrix().r11.terms:
+        assert len(pair) == 2 and type(pair[1]) is tuple
 
 
 def test_weights_are_exact():
@@ -281,7 +293,7 @@ def _random_chain_operator(rng):
     chains += [[rng.choice(muls)] for _ in range(2)]
     weights = [Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for _ in chains]
     return IntDiffOperator(
-        (w, IntDiffTerm(c)) for w, c in zip(weights, chains) if c
+        (w, term(*c)) for w, c in zip(weights, chains) if c
     )
 
 
@@ -329,10 +341,9 @@ def _reference_collapse_exact_pairs(operator):
     terms = list(operator.terms)
     replaced = {}
     used = [False] * len(terms)
-    for i, (wi, ti) in enumerate(terms):
+    for i, (wi, chain) in enumerate(terms):
         if used[i]:
             continue
-        chain = ti.chain
         match = None
         if len(chain) >= 2 and chain[-2] is DXINV and _is_mul(chain[-1]):
             payload = chain[-1]
@@ -348,22 +359,21 @@ def _reference_collapse_exact_pairs(operator):
                         (((jets, remaining, scale), coeff),)
                     )
                     integrand = DiffPoly.monomial(akey)
-                    partner = IntDiffTerm(
-                        chain[:-2] + (DXINV, integrand, DXINV, k_poly)
+                    partner = term(
+                        *chain[:-2], DXINV, integrand, DXINV, k_poly
                     )
-                    pkey = _chain_key(partner.chain)
+                    pkey = _chain_key(partner)
                     for j, (wj, tj) in enumerate(terms):
                         if used[j] or j == i:
                             continue
-                        if wj == wi and _chain_key(tj.chain) == pkey:
+                        if wj == wi and _chain_key(tj) == pkey:
                             atom_poly = DiffPoly.monomial(
                                 ((), ((akey, 1),), 0)
                             )
                             match = (
                                 j,
-                                IntDiffTerm(
-                                    chain[:-2]
-                                    + (atom_poly, DXINV, k_poly)
+                                term(
+                                    *chain[:-2], atom_poly, DXINV, k_poly
                                 ),
                             )
                             break
@@ -388,8 +398,8 @@ def _by_parts_pair(head, atom, k):
     [head, d^-1, integrand(A), d^-1, k]."""
     (((_, ((akey, _),), _), _),) = atom.terms
     return (
-        IntDiffTerm(list(head) + [DXINV, atom * k]),
-        IntDiffTerm(list(head) + [DXINV, DiffPoly.monomial(akey), DXINV, k]),
+        term(*head, DXINV, atom * k),
+        term(*head, DXINV, DiffPoly.monomial(akey), DXINV, k),
     )
 
 
@@ -416,17 +426,17 @@ def _random_pair_operator(rng):
         w = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
         candidate, partner = _by_parts_pair(head, atom, k)
         if rng.random() < 0.2:
-            candidate = IntDiffTerm(head + [DXINV, atom * atom * k])
+            candidate = term(*head, DXINV, atom * atom * k)
         terms.append((w, candidate))
         w = w if rng.random() < 0.7 else w + 1
         terms.append((w, partner))
         if inner and rng.random() < 0.5:
-            _, partner2 = _by_parts_pair(partner.chain[:-2], *inner)
+            _, partner2 = _by_parts_pair(partner[:-2], *inner)
             terms.append((w, partner2))
         if rng.random() < 0.3:
-            terms.append((w, IntDiffTerm(head + [DXINV, DX])))
+            terms.append((w, term(*head, DXINV, DX)))
         if rng.random() < 0.2:
-            terms.append((w, IntDiffTerm(head + [DXINV, atom * k + Q])))
+            terms.append((w, term(*head, DXINV, atom * k + Q)))
     return terms
 
 
@@ -478,7 +488,7 @@ def _edge_cases(name):
     # c2 then goes on to the partner of its second atom, p2_alt.
     q2qx = Q * Q * QX
     c2, p2 = _by_parts_pair([], i_qq, q2qx * i_rr)
-    _, p2_own = _by_parts_pair(p2.chain[:-2], i_rr, q2qx)
+    _, p2_own = _by_parts_pair(p2[:-2], i_rr, q2qx)
     _, p2_alt = _by_parts_pair([], i_rr, q2qx * i_qq)
     # Both atoms of c3 have a partner; only the first in atom order is used.
     c3, p3_qq = _by_parts_pair([], i_qq, Q * i_rr)

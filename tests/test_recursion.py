@@ -51,14 +51,14 @@ class TestMatrixShape:
 
     def test_entry_contents(self):
         mat = build_matrix()
-        r11_chains = {t.chain for _, t in mat.r11.terms}
+        r11_chains = {chain for _, chain in mat.r11.terms}
         assert (R, DXINV, Q, DX) in r11_chains
         weights = {
-            t.chain: w for w, t in mat.r11.terms
+            chain: w for w, chain in mat.r11.terms
         }
         assert weights[(R, DXINV, Q, DX)] == Fraction(-1)
         # 3q^2 appears as a pure multiplier in the off-diagonal entry.
-        r12_weights = {t.chain: w for w, t in mat.r12.terms}
+        r12_weights = {chain: w for w, chain in mat.r12.terms}
         assert r12_weights[(Q * Q,)] == Fraction(3)
 
     def test_swap_symmetry(self):
