@@ -237,10 +237,12 @@ def _display_key(item):
 class DiffPoly:
     """Exact-rational polynomial in jet variables and antiderivative atoms."""
 
-    __slots__ = ("terms",)
+    # `_dx` keeps d_x(self) once computed; it is freed with the polynomial.
+    __slots__ = ("terms", "_dx")
 
     def __init__(self, terms=()):
         self.terms = tuple(terms)
+        self._dx = None
 
     @classmethod
     def _from_dict(cls, d) -> "DiffPoly":
@@ -451,12 +453,16 @@ def _dx_key(key) -> dict:
 
 
 def d_x(p: DiffPoly, n: int = 1) -> DiffPoly:
-    """n-th total x-derivative; linear, Leibniz on products."""
+    """n-th total x-derivative, memoized link by link in `_dx`."""
+    if type(n) is not int or n < 0:
+        raise ValueError("derivative order must be an int >= 0")
     for _ in range(n):
-        d = {}
-        for key, c in p.terms:
-            _addto(d, _dx_key(key).items(), c)
-        p = DiffPoly._from_dict(d)
+        if p._dx is None:
+            d = {}
+            for key, c in p.terms:
+                _addto(d, _dx_key(key).items(), c)
+            p._dx = DiffPoly._from_dict(d)
+        p = p._dx
     return p
 
 
@@ -865,15 +871,12 @@ def prolong_t(p: DiffPoly, q_t: DiffPoly, r_t: DiffPoly) -> DiffPoly:
     differentiate under the integral sign, with the resulting antiderivative
     expressed canonically through `antiderivative`.
     """
-    flows = {"q": [q_t], "r": [r_t]}
+    flows = {"q": q_t, "r": r_t}
 
     def flow_deriv(sym: str, order: int) -> DiffPoly:
         if sym not in flows:
             raise ValueError(f"no flow is defined for symbol {sym!r}")
-        seq = flows[sym]
-        while len(seq) <= order:
-            seq.append(d_x(seq[-1]))
-        return seq[order]
+        return d_x(flows[sym], order)
 
     atom_cache = {}
 

@@ -44,10 +44,8 @@ class FlowPair:
 
 
 @lru_cache(maxsize=None)
-def _lax_tail(i: int, m: int = 0) -> DiffPoly:
-    """d_x^m of L's d^-i coefficient (-1)^(i-1) (q r^(i-1) + r q^(i-1))."""
-    if m:
-        return d_x(_lax_tail(i, m - 1))
+def _lax_tail(i: int) -> DiffPoly:
+    """L's d^-i coefficient (-1)^(i-1) (q r^(i-1) + r q^(i-1))."""
     sign = (-1) ** (i - 1)
     return poly_sum(((sign, _Q * d_x(_R, i - 1)), (sign, _R * d_x(_Q, i - 1))))
 
@@ -76,7 +74,7 @@ def _power_pieces(k: int, j: int):
         for m in range(k - j - i):
             c = _power_coeff(k - 1, j + i + m)
             if not c.is_zero and (b := gbinom(j + i + m, m)):
-                yield b, c * _lax_tail(i, m)
+                yield b, c * d_x(_lax_tail(i), m)
 
 
 def lax_power(n: int, depth: int | None = None) -> PsiDO:

@@ -198,12 +198,19 @@ def expand_term_to_psido(chain: tuple, depth: int) -> PsiDO:
 
 
 def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
-    """Series form of the operator: every d^-1 expanded by Leibniz."""
-    out = PsiDO.zero(depth)
+    """Series form of the operator: every d^-1 expanded by Leibniz.
+
+    Each order is summed once over all chains, at the smallest depth.
+    """
+    trusted, pieces = depth, {}
     for weight, chain in operator.terms:
-        # The sum keeps the smaller depth and drops the orders below it.
-        out = out + expand_term_to_psido(chain, depth) * weight
-    return out
+        series = expand_term_to_psido(chain, depth)
+        trusted = min(trusted, series.trunc_depth)
+        for k, c in series.coeffs.items():
+            pieces.setdefault(k, []).append((weight, c))
+    return PsiDO(
+        {k: poly_sum(ps) for k, ps in pieces.items() if k >= -trusted}, trusted
+    )
 
 
 # -- payload substitutions ---------------------------------------------------

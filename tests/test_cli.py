@@ -334,6 +334,7 @@ _GOLDEN_CASES = (
         for fmt in _FORMATS
     ]
     + [(f"verify_all.{fmt}", ["verify", "all"]) for fmt in ("text", "json")]
+    + [("verify_all_9.json", ["verify", "all", "--max-flow", "9"])]
 )
 
 

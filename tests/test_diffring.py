@@ -186,6 +186,45 @@ class TestDerivative:
             b = random_poly(rng, allow_atoms=True)
             assert d_x(a * b) == d_x(a) * b + a * d_x(b)
 
+    @pytest.mark.parametrize("order", (-1, True, 1.5))
+    def test_order_must_be_a_natural_int(self, order):
+        with pytest.raises(ValueError, match="derivative order must be an int >= 0"):
+            d_x(Q, order)
+
+    def test_memoized_derivatives_match_sympy(self):
+        # An oracle outside the ring: q, r and lam become functions of x and
+        # a number, every atom an unevaluated integral, and sympy
+        # differentiates.  Each p is differentiated again and again, so the
+        # later calls read the memo.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        funcs = {"q": sympy.exp(2 * x) + x, "r": x ** 2 * sympy.exp(-x)}
+        lam = sympy.Rational(3, 7)
+
+        def mono(key):
+            jets, atoms, scale = key
+            v = lam ** scale
+            for (sym, order), power in jets:
+                v *= sympy.diff(funcs[sym], x, order) ** power
+            for akey, power in atoms:
+                v *= sympy.Integral(mono(akey), x) ** power
+            return v
+
+        def value(p):
+            return sympy.Add(*(
+                sympy.Rational(c.numerator, c.denominator) * mono(key)
+                for key, c in p.terms
+            ))
+
+        rng = random.Random(SEED)
+        for _ in range(15):
+            p = random_poly(rng, allow_atoms=True, allow_scale=True)
+            expected = value(p)
+            for n in (3, 1, 2, 0):
+                got = value(d_x(p, n))
+                assert sympy.expand(got - sympy.diff(expected, x, n)) == 0
+            assert d_x(p, 2) is d_x(d_x(p))
+
 
 class TestIntegrate:
     def test_exact_derivative(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cckp import diffring
+from cckp import diffring, nonlocal_ops
 from cckp.diffring import DiffPoly, antiderivative, d_x
 from cckp.errors import NestingTooDeep
 from cckp.hierarchy import flow
@@ -19,6 +19,7 @@ from cckp.nonlocal_ops import (
     collapse_exact_pairs,
     distribute,
     eliminate_trailing_dx,
+    expand_term_to_psido,
     expand_to_psido,
     operator_from_json,
     operator_json,
@@ -27,8 +28,8 @@ from cckp.nonlocal_ops import (
     swap_q_r,
     term,
 )
-from cckp.psido import residuals
-from cckp.recursion import build_matrix
+from cckp.psido import PsiDO, residuals
+from cckp.recursion import build_matrix, reduce_matrix
 
 from conftest import P, SEED, constant_term, random_local_poly
 
@@ -333,6 +334,49 @@ def test_factored_apply_matches_termwise_on_the_matrix():
             (mat.r21, pair.q_t), (mat.r22, pair.r_t),
         ):
             assert apply(entry, f) == _termwise(entry, f)
+
+
+def _folded_expansion(operator, depth, expand=expand_term_to_psido):
+    """The expansion summed one chain at a time with `PsiDO.__add__`."""
+    out = PsiDO.zero(depth)
+    for weight, chain in operator.terms:
+        out = out + expand(chain, depth) * weight
+    return out
+
+
+def _shallower(chain, depth):
+    """A chain's expansion trusted one order less when its length is odd."""
+    series = expand_term_to_psido(chain, depth)
+    if series.is_exact or len(chain) % 2 == 0:
+        return series
+    keep = {k: c for k, c in series.coeffs.items() if k >= 1 - depth}
+    return PsiDO(keep, depth - 1)
+
+
+@pytest.mark.parametrize("expand", (expand_term_to_psido, _shallower))
+def test_expansion_matches_the_chain_by_chain_sum(monkeypatch, expand):
+    # With `_shallower`, chains come back at different depths, so the sum
+    # must keep the smallest and drop the orders below it.
+    monkeypatch.setattr(nonlocal_ops, "expand_term_to_psido", expand)
+    mat = build_matrix()
+    # d^-1 q and q d^-1 cancel at order -1 and nowhere else.
+    cancel = IntDiffOperator(((1, term(DXINV, Q)), (-1, term(Q, DXINV))))
+    assert sorted(expand_to_psido(cancel, 3).coeffs) == [-3, -2]
+    rng = random.Random(SEED)
+    ops = [mat.r11, mat.r12, mat.r21, mat.r22, reduce_matrix()]
+    ops += [_random_chain_operator(rng) for _ in range(40)]
+    ops += [IntDiffOperator(()), cancel]
+    mixed = 0
+    for op in ops:
+        for depth in (1, 4):
+            got = expand_to_psido(op, depth)
+            want = _folded_expansion(op, depth, expand)
+            assert got.coeffs == want.coeffs
+            assert got.trunc_depth == want.trunc_depth
+        exact = {expand_term_to_psido(c, 4).is_exact for _, c in op.terms}
+        mixed += exact == {True, False}
+    # Many inputs mix exact (d-only) chains with truncated ones.
+    assert mixed > 10
 
 
 def _reference_collapse_exact_pairs(operator):
