@@ -16,8 +16,9 @@ independent computations cancel exactly.
 Coefficients follow one rule: a coefficient is an ``int`` when it is
 integral and a ``Fraction`` only when it is not.  The reducer's rows are
 integer vectors, so each monomial's normal form is computed without
-fractions and stored as one integer form ``(den, pre, res)``; ``integrate``
-sums those over a common denominator and divides once at the end.
+fractions and stored as one integer form ``(den, pre, res)``.  ``integrate``
+reduces each class's terms together, as one vector against the class's
+reducer, sums the forms over a common denominator and divides once.
 
 The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
@@ -766,6 +767,10 @@ def _local_reducer(symdeg, weight: int, scale: int, atoms=()) -> _Reducer:
 
 _NF_ATOM_BUILDING = set()
 
+# one class's integrand terms, as (key, int) pairs scaled over their common
+# denominator -> their integer form (den, pre, res), as `_NF_ATOM_CACHE` holds
+_GROUP_CACHE = {}
+
 
 def _nf_int(key):
     """Canonical split of one monomial as its integer form (den, pre, res).
@@ -803,7 +808,8 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    for table in (_NF_ATOM_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED):
+    tables = (_NF_ATOM_CACHE, _GROUP_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED)
+    for table in tables:
         table.clear()
     for cached in (_atom_depth, _local_reducer):
         cached.cache_clear()
@@ -816,9 +822,26 @@ def integrate(p: DiffPoly):
     Constants are irreducible (the ring has no explicit x), and the local
     part never contains a constant term, which pins the integration constant
     to zero.  The split is linear, and equal monomials resolve identically in
-    every context.
+    every context.  Terms are split by class: a lone term takes its
+    monomial's form, and a larger group is reduced once as one integer
+    vector, memoized in `_GROUP_CACHE`.
     """
-    forms = [(c, _nf_int(key)) for key, c in p.terms]
+    groups = {}
+    for key, c in p.terms:
+        groups.setdefault(_class_of(key), []).append((key, c))
+    forms = []
+    for cls, terms in groups.items():
+        if len(terms) == 1:
+            forms.append((terms[0][1], _nf_int(terms[0][0])))
+            continue
+        scale = lcm(*(c.denominator for _, c in terms))
+        work = tuple(
+            (_intern(k), c.numerator * scale // c.denominator) for k, c in terms
+        )
+        form = _GROUP_CACHE.get(work)
+        if form is None:
+            form = _GROUP_CACHE[work] = _local_reducer(*cls).split(dict(work))
+        forms.append((1, (form[0] * scale, *form[1:])))
     # The integer forms are summed over one common denominator, divided once.
     den = 1
     for c, (d, _, _) in forms:

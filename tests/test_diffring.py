@@ -1127,8 +1127,11 @@ class TestMemoTables:
         p = Q * R * antiderivative(Q * R) + QX * R * antiderivative(Q * Q)
         before = integrate(p)
         scale_substitute(Q * antiderivative(Q * Q), Fraction(1, 12))
+        integrate(QX * RX + Q * DiffPoly.jet("r", 2))
+        assert diffring._GROUP_CACHE
         clear_caches()
         assert not diffring._NF_ATOM_CACHE
+        assert not diffring._GROUP_CACHE
         assert not diffring._REDUCER_CACHE
         assert not diffring._CLASS_CLOSURES
         assert not diffring._INTERNED
@@ -1138,6 +1141,123 @@ class TestMemoTables:
         assert diffring._local_reducer in cached
         assert all(f.cache_info().currsize == 0 for f in cached)
         assert integrate(p) == before
+
+
+def _reference_per_monomial_integrate(p):
+    """The per-monomial split: each key's `_nf_int` form, summed over one
+    common denominator and divided once."""
+    forms = [(c, diffring._nf_int(key)) for key, c in p.terms]
+    den = 1
+    for c, (d, _, _) in forms:
+        den = math.lcm(den, d * Fraction(c).denominator)
+    f_total = {}
+    rho_total = {}
+    for c, (d, pre, res) in forms:
+        c = Fraction(c)
+        c = c.numerator * (den // (d * c.denominator))
+        diffring._addto(f_total, pre, c)
+        diffring._addto(rho_total, res, c)
+    return (
+        DiffPoly._from_dict(diffring._divided(f_total, den)),
+        DiffPoly._from_dict(diffring._divided(rho_total, den)),
+    )
+
+
+def _class_sizes(p):
+    sizes = {}
+    for key, _ in p.terms:
+        cls = diffring._class_of(key)
+        sizes[cls] = sizes.get(cls, 0) + 1
+    return sorted(sizes.values())
+
+
+_Q2 = DiffPoly.jet("q", 2)
+_R2 = DiffPoly.jet("r", 2)
+# one class, Fraction coefficients
+_FRACTION_GROUP = (
+    Fraction(1, 3) * QX * RX - Fraction(2, 5) * Q * _R2 + Fraction(7, 2) * _Q2 * R
+)
+# one class whose members are all reduced, so its pre is empty
+_REDUCED_GROUP = (
+    2 * Q * _Q2 * R * R - Fraction(3, 4) * Q * Q * R * _R2 + Q * QX * R * RX
+)
+# lone terms and larger groups, local and atom-bearing
+_MIXED_GROUPS = (
+    QX * RX + Q * _R2 + Fraction(1, 6) * Q * R + 5
+    + QX * R * antiderivative(Q * R)
+    - Fraction(2, 3) * Q * RX * antiderivative(Q * R)
+    + Q * Q * R * antiderivative(Q * Q)
+)
+
+
+class TestGroupedIntegrate:
+    def test_step_chain_integrands_match_the_per_monomial_sum(self, monkeypatch):
+        seen = []
+        plain = diffring.integrate
+
+        def recording(p):
+            seen.append(p)
+            return plain(p)
+
+        cckp.clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "integrate", recording)
+            pair = flow(1)
+            while pair.m < 9:
+                pair = recursion.step(pair)
+        assert len(seen) > 80
+        assert sum(1 for p in seen if _class_sizes(p)[-1:] > [1]) > 40
+        clear_caches()
+        got = [integrate(p) for p in seen]
+        for p, (f, rho) in zip(seen, got):
+            assert (f, rho) == _reference_per_monomial_integrate(p)
+            assert all(diffring._is_reduced_mono(key) for key, _ in rho.terms)
+
+    @pytest.mark.parametrize(
+        "p",
+        (_FRACTION_GROUP, _REDUCED_GROUP, _MIXED_GROUPS),
+        ids=("fractions", "empty-pre", "mixed"),
+    )
+    def test_hand_made_groups_match_the_per_monomial_sum(self, p):
+        clear_caches()
+        f, rho = integrate(p)
+        assert _class_sizes(p)[-1] > 1
+        assert (f, rho) == _reference_per_monomial_integrate(p)
+        assert d_x(f) + rho == p
+        assert integrate(rho) == (DiffPoly.zero(), rho)
+
+    def test_group_of_reduced_members_is_its_own_remainder(self):
+        clear_caches()
+        assert integrate(_REDUCED_GROUP) == (DiffPoly.zero(), _REDUCED_GROUP)
+
+    def test_repeated_call_makes_no_split(self, monkeypatch):
+        p = R * d_x(flow(5).q_t) + QX * R * antiderivative(Q * Q) + Q * RX
+        clear_caches()
+        first = integrate(p)
+        assert diffring._GROUP_CACHE
+        calls = []
+        split = diffring._Reducer.split
+
+        def counting(self, *args):
+            calls.append(args)
+            return split(self, *args)
+
+        monkeypatch.setattr(diffring._Reducer, "split", counting)
+        assert integrate(p) == first
+        assert not calls
+
+    def test_tripped_group_build_stores_nothing(self, monkeypatch):
+        p = Fraction(1, 2) * QX * RX + Q * _R2 - 3 * _Q2 * R
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "_ELIMINATION_CAP", 0)
+            with pytest.raises(EngineError):
+                integrate(p)
+        assert not diffring._GROUP_CACHE
+        assert not diffring._REDUCER_CACHE
+        got = integrate(p)
+        clear_caches()
+        assert got == integrate(p)
 
 
 def _reference_split_atom_mono(key):
@@ -1173,11 +1293,15 @@ def _reference_nf_any(key):
 
 
 def _fill_atom_cache(top):
-    """Clear every memo table, then run the step chain from t_1 to t_top."""
+    """Clear every memo table, run the step chain from t_1 to t_top, then
+    give every monomial of a grouped split its own normal form."""
     cckp.clear_caches()
     pair = hierarchy.flow(1)
     while pair.m < top:
         pair = recursion.step(pair)
+    for group in list(diffring._GROUP_CACHE):
+        for key, _ in group:
+            diffring._nf_int(key)
     return dict(diffring._NF_ATOM_CACHE)
 
 

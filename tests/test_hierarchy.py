@@ -357,6 +357,8 @@ class TestFlows:
         before = flow(5)
         identities = recursion.verify_aratyn_identities(3, Q, R)
         assert recursion._product_identity.cache_info().currsize
+        stepped = recursion.step(flow(3))
+        assert diffring._GROUP_CACHE
         cckp.clear_caches()
         recursion_cached = [
             v
@@ -377,6 +379,8 @@ class TestFlows:
         }
         assert all(f.cache_info().currsize == 0 for f in cached)
         assert not diffring._NF_ATOM_CACHE
+        assert not diffring._GROUP_CACHE
+        assert recursion.step(flow(3)) == stepped
         after = flow(5)
         assert after == before
         assert after is not before
