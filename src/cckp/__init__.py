@@ -52,6 +52,7 @@ from .recursion import (
     reduce_matrix,
     scaled_mkdv_operator,
     step,
+    step_matrix,
     verify_aratyn_identities,
 )
 
@@ -103,6 +104,7 @@ __all__ = [
     "reduce_matrix",
     "scaled_mkdv_operator",
     "step",
+    "step_matrix",
     "verify_aratyn_identities",
 ]
 

@@ -336,8 +336,19 @@ class DiffPoly:
             ))
         if not isinstance(other, DiffPoly):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # Multiplying by one monomial is injective on keys: no two
+            # products meet, so they need no summing dict.
+            (k1, c1), = a
+            products = ((_key_mul(k1, k2), c1 * c2) for k2, c2 in b)
+            return DiffPoly(tuple(sorted(
+                (k, p if p.denominator != 1 else p.numerator) for k, p in products
+            )))
         d = {}
-        _products_into(d, self.terms, other.terms)
+        _products_into(d, a, b)
         return DiffPoly._from_dict(d)
 
     __rmul__ = __mul__
@@ -869,6 +880,8 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
     and atoms are maximally shareable across independent computations.
     """
     local, rho = integrate(p)
+    if not rho.terms:
+        return local
     out = dict(local.terms)
     for (jets, atoms, scale), c in rho.terms:
         akey = (jets, atoms, 0)

@@ -110,16 +110,54 @@ def build_matrix() -> RecursionMatrix:
     )
 
 
+@lru_cache(maxsize=None)
+def step_matrix() -> RecursionMatrix:
+    """The matrix of `build_matrix()` with only local payloads.
+
+    Each atom payload is integrated by parts,
+      m d^-1 (B I(h)) = m I(h) d^-1 B - m d^-1 h d^-1 B,
+    which holds on application under the zero-constant convention; the
+    heads of chains with equal tails are then summed, and every atom
+    cancels.  With local payloads, a d^-1 meets an atom only where an inner
+    d^-1 left one, and on the hierarchy's flows none does.
+    """
+    r11 = IntDiffOperator(
+        (
+            (1, term(DX, DX)),
+            (-1, term(_Q, DXINV, _RX)),
+            (2, term(_Q, DXINV, _R * _R, DXINV, _Q)),
+            (7, term(_Q * _R)),
+            (3, term(_QX, DXINV, _R)),
+            (-1, term(_R, DXINV, _Q, DX)),
+            (-1, term(_R, DXINV, _QX)),
+            (2, term(_RX, DXINV, _Q)),
+        )
+    )
+    r12 = IntDiffOperator(
+        (
+            (-1, term(_Q, DXINV, _Q, DX)),
+            (-2, term(_Q, DXINV, _Q * _Q, DXINV, _R)),
+            (3, term(_Q * _Q)),
+            (3, term(_QX, DXINV, _Q)),
+        )
+    )
+    return RecursionMatrix(
+        r11=r11, r12=r12, r21=swap_q_r(r12), r22=swap_q_r(r11)
+    )
+
+
 def step(
     flow_pair: FlowPair, matrix: RecursionMatrix | None = None
 ) -> FlowPair:
     """Map the t_m flow to the t_(m+2) flow through the recursion matrix.
 
-    Every antiderivative atom produced along the way must cancel in the
-    summed result; a surviving atom signals an encoding or integration
-    defect and raises `ResidualNonlocal`.
+    The default matrix is `step_matrix()`, equal to the paper's
+    `build_matrix()` on application.  Every antiderivative atom produced
+    along the way must cancel in the summed result; a surviving atom
+    signals an encoding or integration defect and raises
+    `ResidualNonlocal`.
     """
-    mat = matrix if matrix is not None else build_matrix()
+    mat = matrix if matrix is not None else step_matrix()
     q_next = apply(mat.r11, flow_pair.q_t) + apply(mat.r12, flow_pair.r_t)
     r_next = apply(mat.r21, flow_pair.q_t) + apply(mat.r22, flow_pair.r_t)
     for label, value in (("q", q_next), ("r", r_next)):
@@ -271,6 +309,6 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    for cached in (build_matrix, reduce_matrix, _product_identity):
+    for cached in (build_matrix, step_matrix, reduce_matrix, _product_identity):
         cached.cache_clear()
     hierarchy.clear_caches()

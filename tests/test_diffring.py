@@ -104,6 +104,21 @@ class TestArithmetic:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
 
+    def test_monomial_products_match_the_summing_dict(self):
+        # One side of one term takes the path without a dict; the stored
+        # terms (keys, order, coefficient types) must be the dict path's.
+        rng = random.Random(SEED)
+        for _ in range(300):
+            a = random_poly(rng, max_terms=1, allow_atoms=True, allow_scale=True)
+            b = random_poly(rng, max_terms=5, allow_atoms=True, allow_scale=True)
+            a = a * rng.choice((1, -3, Fraction(2, 3), Fraction(3, 2)))
+            d = {}
+            diffring._products_into(d, a.terms, b.terms)
+            want = DiffPoly._from_dict(d).terms
+            for got in (a * b, b * a):
+                assert got.terms == want
+                assert _coeff_types(got) == _coeff_types(DiffPoly(want))
+
 
 def _coeff_types(*polys):
     return {type(c) for p in polys for _, c in p.terms}
@@ -404,6 +419,12 @@ class TestAntiderivative:
         rep = antiderivative(2 * Q * QX + Q * R)
         assert rep == Q ** 2 + antiderivative(Q * R)
         assert d_x(rep) == 2 * Q * QX + Q * R
+
+    def test_exact_derivative_is_its_local_part(self):
+        for p in (Q ** 2, 3 * Q * R * QX, Fraction(1, 2) * R ** 3):
+            rep = antiderivative(d_x(p))
+            assert rep == p and rep.is_local
+            assert _coeff_types(rep) == _coeff_types(p)
 
     def test_atom_invariants(self):
         atom = NonlocalAtom(Q ** 2)
@@ -789,11 +810,14 @@ class TestCandidates:
         # A walk can finish other classes on its way (through
         # `_is_reduced_mono`), so the order it meets candidates in decides
         # how much work it does; that order must not follow string hashes.
+        # The paper's matrix sends the chain through atom classes.
         script = (
             "from cckp import diffring, hierarchy, recursion\n"
+            "paper = recursion.build_matrix()\n"
             "pair = hierarchy.flow(1)\n"
             "while pair.m < 7:\n"
-            "    pair = recursion.step(pair)\n"
+            "    pair = recursion.step(pair, paper)\n"
+            "assert any(atoms for _, atoms, _ in diffring._NF_ATOM_CACHE)\n"
             "print(tuple(diffring._atom_depth.cache_info()),"
             " tuple(diffring._local_reducer.cache_info()))\n"
         )
@@ -1202,9 +1226,12 @@ class TestGroupedIntegrate:
         cckp.clear_caches()
         with monkeypatch.context() as m:
             m.setattr(diffring, "integrate", recording)
+            # The paper's matrix, whose payloads send the chain through
+            # atom classes; `step`'s default form meets none.
+            paper = recursion.build_matrix()
             pair = flow(1)
             while pair.m < 9:
-                pair = recursion.step(pair)
+                pair = recursion.step(pair, paper)
         assert len(seen) > 80
         assert sum(1 for p in seen if _class_sizes(p)[-1:] > [1]) > 40
         clear_caches()
@@ -1293,12 +1320,14 @@ def _reference_nf_any(key):
 
 
 def _fill_atom_cache(top):
-    """Clear every memo table, run the step chain from t_1 to t_top, then
-    give every monomial of a grouped split its own normal form."""
+    """Clear every memo table, run the step chain from t_1 to t_top through
+    the paper's matrix, whose payloads carry atoms, then give every monomial
+    of a grouped split its own normal form."""
     cckp.clear_caches()
+    paper = recursion.build_matrix()
     pair = hierarchy.flow(1)
     while pair.m < top:
-        pair = recursion.step(pair)
+        pair = recursion.step(pair, paper)
     for group in list(diffring._GROUP_CACHE):
         for key, _ in group:
             diffring._nf_int(key)

@@ -358,6 +358,9 @@ class TestFlows:
         identities = recursion.verify_aratyn_identities(3, Q, R)
         assert recursion._product_identity.cache_info().currsize
         stepped = recursion.step(flow(3))
+        assert recursion.step(flow(3), recursion.build_matrix()) == stepped
+        assert recursion.build_matrix.cache_info().currsize
+        assert recursion.step_matrix.cache_info().currsize
         assert diffring._GROUP_CACHE
         cckp.clear_caches()
         recursion_cached = [

@@ -34,6 +34,7 @@ from cckp.recursion import (
     scaled_mkdv_literal,
     scaled_mkdv_operator,
     step,
+    step_matrix,
     verify_aratyn_identities,
 )
 
@@ -142,6 +143,57 @@ class TestStep:
         )
         with pytest.raises(ResidualNonlocal):
             step(flow(1), matrix=broken)
+
+
+class TestStepMatrix:
+    # `step` runs the local-payload form; the paper's matrix is the oracle.
+    _ENTRIES = ("r11", "r12", "r21", "r22")
+
+    def test_payloads_are_local(self):
+        mat = step_matrix()
+        assert [len(getattr(mat, e).terms) for e in self._ENTRIES] == [8, 4, 4, 8]
+        for entry in self._ENTRIES:
+            for _, chain in getattr(mat, entry).terms:
+                assert all(
+                    f.is_local for f in chain if f is not DX and f is not DXINV
+                )
+
+    def test_mirror_entries_are_swap_images(self):
+        mat = step_matrix()
+        assert mat.r21 == op_swap(mat.r12)
+        assert mat.r22 == op_swap(mat.r11)
+
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_series_equal_the_paper_matrix(self, entry):
+        lhs = expand_to_psido(getattr(step_matrix(), entry), 8)
+        rhs = expand_to_psido(getattr(build_matrix(), entry), 8)
+        assert not residuals(lhs, rhs, 8)
+
+    @pytest.mark.parametrize(
+        "m", [*range(1, 12, 2), pytest.param(13, marks=pytest.mark.slow)]
+    )
+    def test_steps_equal_the_paper_matrix_steps(self, m):
+        paper = step(flow(m), build_matrix())
+        local = step(flow(m))
+        assert local.m == paper.m == m + 2
+        assert local.q_t == paper.q_t
+        assert local.r_t == paper.r_t
+
+    def test_step_chain_integrates_only_local_polynomials(self, monkeypatch):
+        seen = []
+        plain = diffring.integrate
+
+        def recording(p):
+            seen.append(p)
+            return plain(p)
+
+        with monkeypatch.context() as m:
+            m.setattr(diffring, "integrate", recording)
+            pair = flow(1)
+            while pair.m < 11:
+                pair = step(pair)
+        assert len(seen) > 50
+        assert all(p.is_local for p in seen)
 
 
 class TestReduction:
