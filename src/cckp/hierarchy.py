@@ -28,6 +28,12 @@ _Q = DiffPoly.jet("q")
 _R = DiffPoly.jet("r")
 
 
+def _require_int(value, name: str) -> None:
+    """Refuse a bool or any non-int, which `range` and the memo keys misread."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FlowPair:
     """One time-flow of the hierarchy: the pair (q_t, r_t)."""
@@ -37,6 +43,7 @@ class FlowPair:
     r_t: DiffPoly
 
     def __post_init__(self):
+        _require_int(self.m, "flow index")
         if self.m <= 0 or self.m % 2 == 0:
             raise ValueError("flow index must be a positive odd integer")
         if not (self.q_t.is_local and self.r_t.is_local):
@@ -51,12 +58,28 @@ def _lax_tail(i: int) -> DiffPoly:
 
 
 @lru_cache(maxsize=None)
+def _tail_sum(s: int, t: int) -> DiffPoly:
+    """sum_{i=1..t} C(s, t-i) d_x(_lax_tail(i), t-i).
+
+    These are L's tails that a coefficient c d^s of L^(k-1) meets on its
+    way to d^(s-t); summed once, for every k, they multiply c in one product.
+    """
+    return poly_sum(
+        (b, d_x(_lax_tail(i), t - i))
+        for i in range(1, t + 1)
+        if (b := gbinom(s, t - i))
+    )
+
+
+@lru_cache(maxsize=None)
 def _power_coeff(k: int, j: int) -> DiffPoly:
     """Coefficient of d^j in L^k, exact: L^k = L^(k-1) o L, L^0 = 1.
 
-    By the Leibniz rule, c d^l o d = c d^(l+1) and, for each tail t_i d^-i
-    of L, c d^l o t_i d^-i = sum_m C(l, m) c t_i^(m) d^(l-i-m): only the
-    tails of L are differentiated.  L^(k-1) has top order k-1.
+    By the Leibniz rule, c d^s o d = c d^(s+1) and, for each tail t_i d^-i
+    of L, c d^s o t_i d^-i = sum_m C(s, m) c t_i^(m) d^(s-i-m): only the
+    tails of L are differentiated.  The pieces that land on d^j from one
+    c d^s share c, so their tails are summed first (`_tail_sum`).  L^(k-1)
+    has top order k-1.
     """
     if k == 0:
         return DiffPoly.one() if j == 0 else DiffPoly.zero()
@@ -64,17 +87,16 @@ def _power_coeff(k: int, j: int) -> DiffPoly:
 
 
 def _power_pieces(k: int, j: int):
-    """The binomial-weighted products that sum to `_power_coeff(k, j)`.
+    """The products that sum to `_power_coeff(k, j)`, one per order s of L^(k-1).
 
     They are made one at a time, so `poly_sum` adds each into its sum
     before the next is computed.
     """
     yield 1, _power_coeff(k - 1, j - 1)
-    for i in range(1, k - j):
-        for m in range(k - j - i):
-            c = _power_coeff(k - 1, j + i + m)
-            if not c.is_zero and (b := gbinom(j + i + m, m)):
-                yield b, c * d_x(_lax_tail(i), m)
+    for s in range(j + 1, k):
+        c = _power_coeff(k - 1, s)
+        if not c.is_zero and not (tails := _tail_sum(s, s - j)).is_zero:
+            yield 1, c * tails
 
 
 def lax_power(n: int, depth: int | None = None) -> PsiDO:
@@ -83,10 +105,12 @@ def lax_power(n: int, depth: int | None = None) -> PsiDO:
     The default depth budget is n + 3.  Each composition with L loses one
     trusted order, so the result is exact down to order -(depth - n + 1).
     """
+    _require_int(n, "power")
     if n < 1:
         raise ValueError("power must be >= 1")
     if depth is None:
         depth = n + 3
+    _require_int(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     eff = depth - n + 1
@@ -104,14 +128,19 @@ def lax_operator(depth: int) -> PsiDO:
 
 def bn(n: int) -> PsiDO:
     """The flow generator: differential part of L^n, exact at every order."""
+    _require_int(n, "flow index")
     if n <= 0 or n % 2 == 0:
         raise ValueError("the hierarchy has odd flows only")
     return PsiDO({j: _power_coeff(n, j) for j in range(n + 1)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def flow(n: int) -> FlowPair:
-    """The t_n flow (B_n(q), B_n(r))."""
+    """The t_n flow (B_n(q), B_n(r)).
+
+    The memo is typed, so `True` or `3.0` never reads the entry of 1 or 3;
+    `bn` refuses them before any entry is stored.
+    """
     generator = bn(n)
     return FlowPair(n, apply(generator, _Q), apply(generator, _R))
 
@@ -122,7 +151,7 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    for cached in (_lax_tail, _power_coeff, flow):
+    for cached in (_lax_tail, _tail_sum, _power_coeff, flow):
         cached.cache_clear()
     diffring.clear_caches()
 

@@ -186,6 +186,21 @@ class TestGenerators:
             with pytest.raises(ValueError):
                 lax_power(n)
 
+    @pytest.mark.parametrize(
+        "bad", (True, False, 3.0, 1.0, Fraction(3), "3"), ids=repr
+    )
+    def test_indices_must_be_ints(self, bad):
+        # bool is an int subclass and 3.0 hashes like 3: neither may pass
+        # as a flow index or read a memo entry of one.
+        flow(1)
+        flow(3)
+        for fn in (bn, flow, lax_power, lax_operator):
+            with pytest.raises(ValueError, match="must be an int"):
+                fn(bad)
+        with pytest.raises(ValueError, match="must be an int"):
+            lax_power(1, bad)
+        assert flow(1) == FlowPair(1, d_x(Q), d_x(R))
+
     def test_square_has_known_differential_part(self):
         two = lax_power(2)
         assert {k: v for k, v in two.coeffs.items() if k >= 0} == {
@@ -230,12 +245,14 @@ class TestGenerators:
                 k, DiffPoly.zero()
             )
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", (*range(1, 8), 9, 11))
     def test_memoized_power_matches_iterated_compose(self, n):
         # Same coefficients, trusted depth and errors as composing whole
-        # operators, on every depth from too shallow to past the default.
+        # operators, on every depth from too shallow to past the default
+        # (for n = 9 and 11, the depths around the first trusted one).
         # bn is exact, so it matches the reference wherever that is trusted.
-        for depth in (*range(12), None):
+        depths = range(12) if n < 8 else range(n - 2, n + 1)
+        for depth in (*depths, None):
             assert outcome(lax_power, n, depth) == outcome(
                 reference_lax_power, n, depth
             )
@@ -259,6 +276,33 @@ class TestGenerators:
         allowed = {hierarchy._lax_tail(i) for i in range(1, 12)} | {Q, R}
         assert seen
         assert all(p in allowed for p in seen)
+
+    def test_generator_table_makes_one_product_per_order(self, monkeypatch):
+        # The tails that meet one coefficient c d^s of L^(k-1) on the way
+        # to d^j are summed first, so each (k, j, s) costs at most one ring
+        # product, not one per tail and derivative order.
+        hierarchy.clear_caches()
+        for i in range(1, 11):
+            hierarchy._lax_tail(i)
+        calls = 0
+        mul = DiffPoly.__mul__
+
+        def spy(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(DiffPoly, "__mul__", spy)
+        bn(11)
+        monkeypatch.undo()
+        reached, todo = set(), [(11, j) for j in range(12)]
+        while todo:
+            k, j = todo.pop()
+            if k > 0 and (k, j) not in reached:
+                reached.add((k, j))
+                todo += [(k - 1, s) for s in (j - 1, *range(j + 1, k))]
+        triples = sum(len(range(j + 1, k)) for k, j in reached)
+        assert 0 < calls <= triples
 
     def test_hot_sums_make_no_ring_additions(self, monkeypatch):
         # The L^k table, B_n applied to q and the nonlocal chain tree sum
@@ -377,6 +421,7 @@ class TestFlows:
         ]
         assert {f.__name__ for f in cached} >= {
             "_lax_tail",
+            "_tail_sum",
             "_power_coeff",
             "flow",
         }
@@ -392,6 +437,9 @@ class TestFlows:
     def test_flowpair_validation(self):
         with pytest.raises(ValueError):
             FlowPair(2, d_x(Q), d_x(R))
+        for m in (True, 3.0, Fraction(3)):
+            with pytest.raises(ValueError, match="must be an int"):
+                FlowPair(m, d_x(Q), d_x(R))
         from cckp.diffring import antiderivative
 
         with pytest.raises(ValueError):

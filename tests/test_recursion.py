@@ -109,8 +109,12 @@ class TestStep:
 
     @pytest.mark.slow
     def test_step_from_t13_reaches_t15(self):
-        # The frontier of the recursion route, against the generator route.
         assert step(flow(13)) == flow(15)
+
+    @pytest.mark.slow
+    def test_step_from_t15_reaches_t17(self):
+        # The frontier of the recursion route, against the generator route.
+        assert step(flow(15)) == flow(17)
 
     def test_swap_equivariance(self):
         # Stepping preserves the swap symmetry of flow pairs...
