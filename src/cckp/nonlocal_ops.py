@@ -45,7 +45,8 @@ def _normalize_chain(factors) -> tuple:
     out = []
     for f in factors:
         if f in (DX, DXINV):
-            out.append(f)
+            # The module's own marker: chains tell factors apart by identity.
+            out.append(DX if f == DX else DXINV)
             continue
         if not _is_mul(f):
             raise TypeError(f"chain factor must be DiffPoly, DX or DXINV: {f!r}")
@@ -170,9 +171,13 @@ def _apply_factor(factor, value: DiffPoly) -> DiffPoly:
     return factor * value
 
 
+def _check_depth(depth) -> None:
+    if type(depth) is not int or depth < 1:
+        raise ValueError(f"expansion depth must be an int >= 1, not {depth!r}")
+
+
 def expand_term_to_psido(chain: tuple, depth: int) -> PsiDO:
-    if depth < 1:
-        raise ValueError("expansion depth must be >= 1")
+    _check_depth(depth)
     budgets = []
     need = depth
     for factor in chain:
@@ -202,6 +207,7 @@ def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
 
     Each order is summed once over all chains, at the smallest depth.
     """
+    _check_depth(depth)
     trusted, pieces = depth, {}
     for weight, chain in operator.terms:
         series = expand_term_to_psido(chain, depth)
@@ -235,26 +241,6 @@ def swap_q_r(operator: IntDiffOperator) -> IntDiffOperator:
 # -- chain rewrites -----------------------------------------------------------
 
 
-def distribute(operator: IntDiffOperator) -> IntDiffOperator:
-    """Split every multiplier into monic monomials, weights carrying content."""
-    out = []
-    for weight, chain in operator.terms:
-        pieces = [(weight, [])]
-        for factor in chain:
-            if not _is_mul(factor):
-                for _, factors in pieces:
-                    factors.append(factor)
-                continue
-            new_pieces = []
-            for w, factors in pieces:
-                for key, c in factor.terms:
-                    mono = DiffPoly.monomial(key)
-                    new_pieces.append((w * c, factors + [mono]))
-            pieces = new_pieces
-        out.extend(pieces)
-    return IntDiffOperator(out)
-
-
 def eliminate_trailing_dx(operator: IntDiffOperator) -> IntDiffOperator:
     """Rewrite ... d^-1 f d ... as ... f ... - ... d^-1 f_x ... everywhere.
 
@@ -286,46 +272,6 @@ def eliminate_trailing_dx(operator: IntDiffOperator) -> IntDiffOperator:
                 (-weight, term(*head, DXINV, dxf, *tail))
             )
     return IntDiffOperator(out)
-
-
-def collapse_exact_pairs(operator: IntDiffOperator) -> IntDiffOperator:
-    """Merge d^-1(A k v + dA d^-1(k v)) into A d^-1(k v) for atom factors A.
-
-    Matches, with equal weights, a chain ending in [d^-1, A*k] against one
-    ending in [d^-1, integrand(A), d^-1, k]; both are replaced by the single
-    chain [A, d^-1, k].  This is the by-parts collapse used to put the reduced
-    operator into its short form.  Partners are found in one (weight, chain)
-    index.  Candidates are visited in term order, and each takes its first
-    free partner in atom order, wherever that partner sorts; a term that
-    has collapsed or has been taken as a partner joins no other pair.
-    """
-    terms = operator.terms
-    index = {pair: j for j, pair in enumerate(terms)}
-    collapsed, partners = {}, set()
-    for i, (w, chain) in enumerate(terms):
-        head, payload = chain[:-2], chain[-1]
-        if (
-            i in partners or len(chain) < 2 or chain[-2] is not DXINV
-            or not _is_mul(payload) or len(payload.terms) != 1
-        ):
-            continue
-        (((jets, atoms, scale), coeff),) = payload.terms
-        for akey in (a for a, power in atoms if power == 1):
-            remaining = tuple((k, p) for k, p in atoms if k != akey)
-            k_poly = DiffPoly((((jets, remaining, scale), coeff),))
-            # Already normal: a d^-1 stands between any two multipliers.
-            partner = head + (DXINV, DiffPoly.monomial(akey), DXINV, k_poly)
-            j = index.get((w, partner))
-            if j is not None and j not in partners and j not in collapsed:
-                partners.add(j)
-                atom = DiffPoly.monomial(((), ((akey, 1),), 0))
-                collapsed[i] = head + (atom, DXINV, k_poly)
-                break
-    return IntDiffOperator(
-        (w, collapsed.get(i, chain))
-        for i, (w, chain) in enumerate(terms)
-        if i not in partners
-    )
 
 
 # -- rendering -----------------------------------------------------------------

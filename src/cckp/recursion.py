@@ -23,8 +23,6 @@ from .nonlocal_ops import (
     IntDiffOperator,
     _map_payloads,
     apply,
-    collapse_exact_pairs,
-    distribute,
     eliminate_trailing_dx,
     expand_to_psido,
     substitute_r_to_q,
@@ -173,18 +171,15 @@ def step(
 def reduce_matrix() -> IntDiffOperator:
     """The operator governing q_t under q = r: substitute, sum, simplify.
 
-    The row sum r11 + r12 after the substitution is simplified by
-    distributing payloads, eliminating d^-1 f d patterns, and collapsing
-    exact antiderivative pairs; the result is the three-term mKdV recursion
-    operator.
+    Under q = r the row sum r11 + r12 of `step_matrix()` is
+      d^2 - 2 q d^-1 q d - 2 q d^-1 q' + 10 q^2 + 8 q' d^-1 q,
+    its two double-d^-1 chains having cancelled in the sum.  Rewriting
+    d^-1 q d as q - d^-1 q' leaves the three-term mKdV recursion operator
+    d^2 + 8 q^2 + 8 q' d^-1 q.
     """
-    mat = build_matrix()
+    mat = step_matrix()
     total = substitute_r_to_q(mat.r11) + substitute_r_to_q(mat.r12)
-    total = distribute(total)
-    total = eliminate_trailing_dx(total)
-    total = distribute(total)
-    total = collapse_exact_pairs(total)
-    return total
+    return eliminate_trailing_dx(total)
 
 
 def mkdv_recursion_literal() -> IntDiffOperator:

@@ -13,11 +13,7 @@ from cckp.nonlocal_ops import (
     DX,
     DXINV,
     IntDiffOperator,
-    _chain_key,
-    _is_mul,
     apply,
-    collapse_exact_pairs,
-    distribute,
     eliminate_trailing_dx,
     expand_term_to_psido,
     expand_to_psido,
@@ -42,6 +38,23 @@ def test_chain_normalization():
     t = term(Q, R, DXINV, 2 * Q)
     assert t == (Q * R, DXINV, 2 * Q)
     assert term(Q) == term(Q * DiffPoly.one())
+
+
+def test_chains_hold_the_module_markers():
+    # Markers equal to DX and DXINV but not the same objects: a string built
+    # at run time and a str subclass.  Chains tell factors apart by identity,
+    # so they must hold the module's own markers.
+    dxinv = "".join(["Di", "nv"])
+    dx = type("Marker", (str,), {})(DX)
+    assert dxinv == DXINV and dxinv is not DXINV
+    assert dx == DX and dx is not DX
+    op = IntDiffOperator(((1, term(Q, dxinv, Q, dx)),))
+    ref = IntDiffOperator(((1, term(Q, DXINV, Q, DX)),))
+    assert op == ref
+    assert all(a is b for a, b in zip(op.terms[0][1], ref.terms[0][1]))
+    assert apply(op, Q) == apply(ref, Q) == P("q^3") * Fraction(1, 2)
+    assert expand_to_psido(op, 3) == expand_to_psido(ref, 3)
+    assert operator_text(op) == operator_text(ref) == "q d^-1 q d"
 
 
 def test_operator_merges_identical_chains():
@@ -130,6 +143,27 @@ def test_expand_single_inverse():
     assert out.coeffs == {-1: Q, -2: -d_x(Q), -3: d_x(Q, 2)}
 
 
+@pytest.mark.parametrize(
+    "depth", (True, 2.0, 2.5, 0, -1), ids=("bool", "float", "fraction", "0", "-1")
+)
+@pytest.mark.parametrize(
+    "op",
+    (
+        IntDiffOperator(()),
+        IntDiffOperator(((1, term(DX)),)),
+        IntDiffOperator(((1, term(DXINV, Q)),)),
+    ),
+    ids=("empty", "differential", "nonlocal"),
+)
+def test_expansion_depth_is_an_int_of_at_least_one(op, depth):
+    # Refused whatever the operator, before any chain is expanded.
+    with pytest.raises(ValueError, match="expansion depth"):
+        expand_to_psido(op, depth)
+    for _, chain in op.terms:
+        with pytest.raises(ValueError, match="expansion depth"):
+            expand_term_to_psido(chain, depth)
+
+
 def test_expand_pure_dx():
     op = IntDiffOperator(((1, term(DX)),))
     assert expand_to_psido(op, 2).coeffs == {1: DiffPoly.one()}
@@ -205,14 +239,6 @@ def test_substitute_resolves_atoms():
     assert substitute_r_to_q(op) == expected
 
 
-def test_distribute():
-    op = IntDiffOperator(((2, term(P("q + 3*r"), DXINV, Q)),))
-    out = distribute(op)
-    assert out == IntDiffOperator(
-        ((2, term(Q, DXINV, Q)), (6, term(R, DXINV, Q)))
-    )
-
-
 def test_eliminate_trailing_dx():
     op = IntDiffOperator(((1, term(Q, DXINV, R, DX)),))
     out = eliminate_trailing_dx(op)
@@ -224,18 +250,6 @@ def test_eliminate_trailing_dx():
         f = random_local_poly(rng, max_terms=2)
         f = f - DiffPoly.const(constant_term(f))
         assert apply(op, f) == apply(out, f)
-
-
-def test_collapse_exact_pairs():
-    a = antiderivative(Q * Q)
-    op = IntDiffOperator(
-        (
-            (-8, term(Q, DXINV, Q * a)),
-            (-8, term(Q, DXINV, Q * Q, DXINV, Q)),
-        )
-    )
-    out = collapse_exact_pairs(distribute(op))
-    assert out == IntDiffOperator(((-8, term(Q * a, DXINV, Q)),))
 
 
 def test_json_round_trip():
@@ -377,198 +391,3 @@ def test_expansion_matches_the_chain_by_chain_sum(monkeypatch, expand):
         mixed += exact == {True, False}
     # Many inputs mix exact (d-only) chains with truncated ones.
     assert mixed > 10
-
-
-def _reference_collapse_exact_pairs(operator):
-    """The nested scan: every candidate searches all terms for its first free
-    partner, wherever that partner sorts."""
-    terms = list(operator.terms)
-    replaced = {}
-    used = [False] * len(terms)
-    for i, (wi, chain) in enumerate(terms):
-        if used[i]:
-            continue
-        match = None
-        if len(chain) >= 2 and chain[-2] is DXINV and _is_mul(chain[-1]):
-            payload = chain[-1]
-            if len(payload.terms) == 1:
-                (jets, atoms, scale), coeff = payload.terms[0]
-                for akey, power in atoms:
-                    if power != 1:
-                        continue
-                    remaining = tuple(
-                        (k, p) for k, p in atoms if k != akey
-                    )
-                    k_poly = DiffPoly(
-                        (((jets, remaining, scale), coeff),)
-                    )
-                    integrand = DiffPoly.monomial(akey)
-                    partner = term(
-                        *chain[:-2], DXINV, integrand, DXINV, k_poly
-                    )
-                    pkey = _chain_key(partner)
-                    for j, (wj, tj) in enumerate(terms):
-                        if used[j] or j == i:
-                            continue
-                        if wj == wi and _chain_key(tj) == pkey:
-                            atom_poly = DiffPoly.monomial(
-                                ((), ((akey, 1),), 0)
-                            )
-                            match = (
-                                j,
-                                term(
-                                    *chain[:-2], atom_poly, DXINV, k_poly
-                                ),
-                            )
-                            break
-                    if match:
-                        break
-        if match:
-            j, new_term = match
-            used[i] = used[j] = True
-            replaced[i] = new_term
-    return IntDiffOperator(
-        (w, replaced.get(i, t))
-        for i, (w, t) in enumerate(terms)
-        if i in replaced or not used[i]
-    )
-
-
-_Q2 = DiffPoly.jet("q", 2)
-
-
-def _by_parts_pair(head, atom, k):
-    """The candidate [head, d^-1, A*k] and its partner
-    [head, d^-1, integrand(A), d^-1, k]."""
-    (((_, ((akey, _),), _), _),) = atom.terms
-    return (
-        term(*head, DXINV, atom * k),
-        term(*head, DXINV, DiffPoly.monomial(akey), DXINV, k),
-    )
-
-
-def _random_pair_operator(rng):
-    """By-parts pairs of equal and unequal weight, power-2 atoms, partners
-    that are candidates themselves, and chains ending in d^-1 d."""
-    heads = [[], [Q], [DXINV], [Q, DXINV], [DX], [R, DX]]
-    i_qq, i_qr, i_rr = (
-        antiderivative(a * b) for a, b in ((Q, Q), (Q, R), (R, R))
-    )
-    atoms = [i_qq, i_qr, i_rr]
-    # Each k, with the atom and cofactor it carries: its partner is then a
-    # candidate too.
-    q2qx = Q * Q * QX
-    ks = [
-        (Q, None), (2 * Q, None), (Q * QX, None), (R, None), (_Q2, None),
-        (Q * i_qr, (i_qr, Q)), (q2qx * i_rr, (i_rr, q2qx)),
-    ]
-    terms = []
-    for _ in range(rng.randint(1, 4)):
-        head = rng.choice(heads)
-        atom = rng.choice(atoms)
-        k, inner = rng.choice(ks)
-        w = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
-        candidate, partner = _by_parts_pair(head, atom, k)
-        if rng.random() < 0.2:
-            candidate = term(*head, DXINV, atom * atom * k)
-        terms.append((w, candidate))
-        w = w if rng.random() < 0.7 else w + 1
-        terms.append((w, partner))
-        if inner and rng.random() < 0.5:
-            _, partner2 = _by_parts_pair(partner[:-2], *inner)
-            terms.append((w, partner2))
-        if rng.random() < 0.3:
-            terms.append((w, term(*head, DXINV, DX)))
-        if rng.random() < 0.2:
-            terms.append((w, term(*head, DXINV, atom * k + Q)))
-    return terms
-
-
-def test_collapse_takes_a_partner_that_sorts_first():
-    # The partner's q^2 sorts before the candidate's r*I(q^2).
-    i_qq = antiderivative(Q * Q)
-    candidate, partner = _by_parts_pair([Q], i_qq, R)
-    op = IntDiffOperator(((2, candidate), (2, partner)))
-    assert op.terms[0][1] == partner
-    out = collapse_exact_pairs(op)
-    assert out == IntDiffOperator(((2, term(Q * i_qq, DXINV, R)),))
-    assert out == _reference_collapse_exact_pairs(op)
-
-
-def test_collapse_preserves_application_randomized(monkeypatch):
-    # By parts, d^-1 (A k v) + d^-1 A' d^-1 (k v) = A d^-1 (k v): the
-    # collapse must not change what the operator does to any function.
-    monkeypatch.setattr(diffring, "_NESTING_LIMIT", 4)
-    rng = random.Random(SEED)
-    fs = (QX, Q * R)
-    collapsed = 0
-    for _ in range(200):
-        op = IntDiffOperator(_random_pair_operator(rng))
-        out = collapse_exact_pairs(op)
-        collapsed += out != op
-        for f in fs:
-            assert apply(out, f) == apply(op, f)
-    assert collapsed > 100
-
-
-def test_collapse_matches_reference_randomized():
-    rng = random.Random(SEED)
-    collapsed = unchanged = 0
-    for _ in range(200):
-        op = IntDiffOperator(_random_pair_operator(rng))
-        out = collapse_exact_pairs(op)
-        assert out == _reference_collapse_exact_pairs(op)
-        if out == op:
-            unchanged += 1
-        else:
-            collapsed += 1
-    assert collapsed > 20 and unchanged > 20
-
-
-def _edge_cases(name):
-    i_qq, i_rr = antiderivative(Q * Q), antiderivative(R * R)
-    c, p = _by_parts_pair([Q], i_qq, Q)
-    # p2 sorts before c2 and is first matched with its own partner p2_own;
-    # c2 then goes on to the partner of its second atom, p2_alt.
-    q2qx = Q * Q * QX
-    c2, p2 = _by_parts_pair([], i_qq, q2qx * i_rr)
-    _, p2_own = _by_parts_pair(p2[:-2], i_rr, q2qx)
-    _, p2_alt = _by_parts_pair([], i_rr, q2qx * i_qq)
-    # Both atoms of c3 have a partner; only the first in atom order is used.
-    c3, p3_qq = _by_parts_pair([], i_qq, Q * i_rr)
-    _, p3_rr = _by_parts_pair([], i_rr, Q * i_qq)
-    return {
-        "equal weights": [(2, c), (2, p)],
-        "unequal weights": [(2, c), (3, p)],
-        "power-2 atom": [
-            (1, term(DXINV, Q * i_qq * i_qq)),
-            (1, term(DXINV, Q * Q, DXINV, Q * i_qq)),
-        ],
-        "d^-1 d tail": [(1, term(Q, DXINV, DX)), (1, c), (1, p)],
-        "partner used earlier": [(1, c2), (1, p2), (1, p2_own)],
-        "second atom's partner": [(1, c2), (1, p2), (1, p2_own), (1, p2_alt)],
-        "first atom's partner": [(1, c3), (1, p3_qq), (1, p3_rr)],
-    }[name]
-
-
-@pytest.mark.parametrize(
-    "name",
-    (
-        "equal weights", "unequal weights", "power-2 atom", "d^-1 d tail",
-        "partner used earlier", "second atom's partner",
-        "first atom's partner",
-    ),
-)
-def test_collapse_matches_reference_on_edge_cases(name):
-    op = IntDiffOperator(_edge_cases(name))
-    assert collapse_exact_pairs(op) == _reference_collapse_exact_pairs(op)
-
-
-def test_collapse_matches_reference_on_the_reduced_row():
-    # The operator reduce_matrix() hands to the collapse.
-    mat = build_matrix()
-    row = substitute_r_to_q(mat.r11) + substitute_r_to_q(mat.r12)
-    op = distribute(eliminate_trailing_dx(distribute(row)))
-    out = collapse_exact_pairs(op)
-    assert out == _reference_collapse_exact_pairs(op)
-    assert len(out.terms) < len(op.terms)

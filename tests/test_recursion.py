@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import cckp
 from cckp import diffring
 from cckp.diffring import (
     DiffPoly,
@@ -244,14 +245,23 @@ class TestReduction:
 
     def test_reduced_row_sum_equals_literal_by_expansion(self):
         # Both routes computed independently: substituting the two entries
-        # and expanding, versus expanding the literal short form.
+        # and expanding, versus expanding the literal short form.  The
+        # paper's matrix is tied to mKdV here, since reduce_matrix() does
+        # not read it.
         from cckp.nonlocal_ops import substitute_r_to_q as op_sub
 
-        mat = build_matrix()
-        row = op_sub(mat.r11) + op_sub(mat.r12)
-        lhs = expand_to_psido(row, 4)
-        rhs = expand_to_psido(mkdv_recursion_literal(), 4)
-        assert not residuals(lhs, rhs, 4)
+        rhs = expand_to_psido(mkdv_recursion_literal(), 6)
+        for matrix in (build_matrix, step_matrix):
+            mat = matrix()
+            row = op_sub(mat.r11) + op_sub(mat.r12)
+            lhs = expand_to_psido(row, 6)
+            assert not residuals(lhs, rhs, 6), matrix.__name__
+
+    def test_reduction_reads_the_local_payload_matrix(self):
+        cckp.clear_caches()
+        assert reduce_matrix() == mkdv_recursion_literal()
+        assert step_matrix.cache_info().currsize == 1
+        assert build_matrix.cache_info().currsize == 0
 
 
 class TestScaling:
