@@ -7,7 +7,6 @@ and the recursion operator with its mKdV reduction.
 
 from .diffring import (
     DiffPoly,
-    NonlocalAtom,
     antiderivative,
     d_x,
     integrate,
@@ -58,7 +57,6 @@ from .recursion import (
 
 __all__ = [
     "DiffPoly",
-    "NonlocalAtom",
     "antiderivative",
     "d_x",
     "integrate",

@@ -397,47 +397,6 @@ def _coerce(x):
     return NotImplemented
 
 
-class NonlocalAtom:
-    """Formal antiderivative of an expression that is not a total derivative.
-
-    The integrand must be one monic, lam-free monomial in reduced form
-    (integrating it again yields no local part); two atoms are equal exactly
-    when their integrands are.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, integrand: DiffPoly):
-        if len(integrand.terms) != 1:
-            raise ValueError("atom integrand must be a single monomial")
-        ((key, c),) = integrand.terms
-        if c != 1 or key[2]:
-            raise ValueError("atom integrand must be monic and free of lam")
-        if not _is_reduced_mono(key):
-            raise ValueError(
-                "atom integrand is not reduced; build antiderivatives "
-                "through antiderivative() instead"
-            )
-        self.key = key
-
-    @property
-    def integrand(self) -> DiffPoly:
-        return DiffPoly.monomial(self.key)
-
-    @property
-    def depth(self) -> int:
-        return _atom_depth(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, NonlocalAtom) and self.key == other.key
-
-    def __hash__(self):
-        return hash(("atom", self.key))
-
-    def __repr__(self):
-        return f"I({self.integrand!r})"
-
-
 # -- differentiation ---------------------------------------------------------
 
 
@@ -758,7 +717,7 @@ _REDUCER_CACHE = {}
 
 
 @lru_cache(maxsize=None)
-def _local_reducer(symdeg, weight: int, scale: int, atoms=()) -> _Reducer:
+def _local_reducer(symdeg, weight: int, scale: int, atoms) -> _Reducer:
     """Reducer of every monomial in one class, local or atom-bearing.
 
     The class is the monomials with these symbol degrees, jet weight, lam

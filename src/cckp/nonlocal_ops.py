@@ -80,6 +80,8 @@ class IntDiffOperator:
     def __init__(self, terms: Iterable = ()):
         merged = {}
         for weight, factors in terms:
+            if isinstance(weight, bool):
+                raise ValueError(f"a chain weight must be rational, not {weight!r}")
             weight = _fr(weight)
             chain = _normalize_chain(factors)
             if chain is not None:

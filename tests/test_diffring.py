@@ -16,7 +16,6 @@ import cckp
 from cckp import diffring, hierarchy, recursion
 from cckp.diffring import (
     DiffPoly,
-    NonlocalAtom,
     antiderivative,
     clear_caches,
     d_x,
@@ -427,17 +426,19 @@ class TestAntiderivative:
             assert _coeff_types(rep) == _coeff_types(p)
 
     def test_atom_invariants(self):
-        atom = NonlocalAtom(Q ** 2)
-        assert atom.integrand == Q ** 2
-        assert atom == NonlocalAtom(Q * Q)
-        assert atom.depth == 1
-        with pytest.raises(ValueError):
-            NonlocalAtom(DiffPoly.zero())
-        with pytest.raises(ValueError):
-            NonlocalAtom(2 * Q * QX)
-        for bad in (2 * Q ** 2, Q ** 2 + R ** 2, DiffPoly.lam() * Q ** 2):
-            with pytest.raises(ValueError):
-                NonlocalAtom(bad)
+        # An atom is the key of its integrand: one monic, lam-free, reduced
+        # monomial, with the coefficient and lam power kept outside.
+        atom = antiderivative(Q ** 2)
+        ((key, c),) = atom.terms
+        assert c == 1 and key[0] == () and key[2] == 0
+        ((akey, power),) = key[1]
+        assert power == 1 and DiffPoly.monomial(akey) == Q ** 2
+        assert diffring._is_reduced_mono(akey)
+        assert diffring._atom_depth(akey) == 1
+        assert antiderivative(Q * Q) == atom
+        assert antiderivative(2 * Q ** 2) == 2 * atom
+        assert antiderivative(DiffPoly.lam() * Q ** 2) == DiffPoly.lam() * atom
+        assert antiderivative(2 * Q * QX) == Q ** 2
 
     def test_atom_values_round_trip(self):
         inner = antiderivative(Q * R)
@@ -449,7 +450,8 @@ class TestAntiderivative:
             DiffPoly.lam(2) * nested * inner + R * antiderivative(R * R),
         ]
         assert poly_text(nested) == "I(q^2*I(q*r))"
-        assert NonlocalAtom(Q ** 2 * inner).depth == 2
+        ((akey, _),) = _single_key(nested)[1]
+        assert diffring._atom_depth(akey) == 2
         for p in values:
             assert parse_poly(poly_text(p)) == p
             assert poly_from_json(poly_json(p)) == p
@@ -459,7 +461,8 @@ class TestAntiderivative:
         # q^2 * I(qr) is irreducible, so its antiderivative nests once more.
         nested = antiderivative(Q ** 2 * inner)
         assert nested.atom_part() == nested
-        assert NonlocalAtom(Q ** 2 * inner).depth == 2
+        ((akey, _),) = _single_key(nested)[1]
+        assert diffring._atom_depth(akey) == 2
         monkeypatch.setattr(diffring, "_NESTING_LIMIT", 1)
         with pytest.raises(NestingTooDeep):
             antiderivative(Q ** 2 * inner)
@@ -530,7 +533,7 @@ class TestSubstitutions:
 
     def test_atoms_stay_canonical_randomized(self):
         # Every atom a substitution leaves behind, nested ones included, is
-        # one that NonlocalAtom accepts: its integrand is monic and reduced.
+        # one that antiderivative makes: its integrand is lam-free and reduced.
         rng = random.Random(SEED)
         seen = 0
         for _ in range(60):
@@ -561,12 +564,13 @@ def _random_qu_with_atoms(rng):
 
 
 def _assert_atoms_canonical(p) -> int:
-    """Build a NonlocalAtom for every atom in p, recursively; count them."""
+    """Check every atom key in p, recursively, as antiderivative makes it;
+    count them."""
     count = 0
     for (_, atoms, _), _ in p.terms:
         for akey, _ in atoms:
-            atom = NonlocalAtom(DiffPoly.monomial(akey))
-            count += 1 + _assert_atoms_canonical(atom.integrand)
+            assert akey[2] == 0 and diffring._is_reduced_mono(akey)
+            count += 1 + _assert_atoms_canonical(DiffPoly.monomial(akey))
     return count
 
 
@@ -744,7 +748,7 @@ class TestCandidates:
                         (jets, (), scale)
                         for jets in _component_jets(symdeg, weight - 1)
                     ]
-                    reducer = diffring._local_reducer(symdeg, weight, scale)
+                    reducer = diffring._local_reducer(symdeg, weight, scale, ())
                     start = _class_start(symdeg, weight, (), scale)
                     expected = diffring._Reducer(reference, start)
                     assert reducer.keys == expected.keys
@@ -757,7 +761,7 @@ class TestCandidates:
         for symdeg in symdegs:
             for weight in range(5):
                 for scale in (0, 2):
-                    reducer = diffring._local_reducer(symdeg, weight, scale)
+                    reducer = diffring._local_reducer(symdeg, weight, scale, ())
                     for jets in _component_jets(symdeg, weight):
                         key = (jets, (), scale)
                         pre, _ = _reduce(reducer, {key: Fraction(1)})
@@ -1004,7 +1008,7 @@ def _check_reducer_rows(reducer):
 
 class TestReducerRows:
     def test_local_rows_are_integral_and_primitive(self):
-        _check_reducer_rows(diffring._local_reducer((("q", 2), ("r", 1)), 6, 0))
+        _check_reducer_rows(diffring._local_reducer((("q", 2), ("r", 1)), 6, 0, ()))
 
     def test_atom_rows_are_integral_and_primitive(self):
         atoms = _single_key(antiderivative(Q * R))[1]
@@ -1012,7 +1016,7 @@ class TestReducerRows:
         _check_reducer_rows(reducer)
 
     def test_reduce_returns_int_where_integral(self):
-        reducer = diffring._local_reducer((("q", 1), ("r", 1)), 2, 0)
+        reducer = diffring._local_reducer((("q", 1), ("r", 1)), 2, 0, ())
         key = (((("q", 2), 1), (("r", 0), 1)), (), 0)
         for c in (1, Fraction(4, 2), Fraction(1, 3)):
             pre, res = _reduce(reducer, {key: c})
@@ -1314,7 +1318,7 @@ def _reference_nf_any(key):
     weight = diffring._jet_weight(jets)
     if weight < 1:
         return DiffPoly.zero(), DiffPoly(((key, Fraction(1)),))
-    reducer = diffring._local_reducer(_symdeg(jets), weight, scale)
+    reducer = diffring._local_reducer(_symdeg(jets), weight, scale, ())
     pre, res = _reduce(reducer, {key: Fraction(1)})
     return DiffPoly._from_dict(pre), DiffPoly._from_dict(res)
 

@@ -93,6 +93,15 @@ def test_weights_are_exact():
     assert [type(w) for w, _ in op.terms] == [int, int]
 
 
+def test_weights_are_not_bools():
+    # A bool is an int to Python, but True is no chain weight.
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            IntDiffOperator(((flag, term(DX)),))
+    # Ring equality still reads a bool as a constant.
+    assert DiffPoly.one() == True and DiffPoly.zero() == False
+
+
 def test_apply_differential_chain():
     op = IntDiffOperator(((1, term(DX, DX)),))
     assert apply(op, Q) == d_x(Q, 2)
