@@ -39,6 +39,10 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self):
+        for name in ("depth", "max_flow"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.max_flow % 2 == 0 or self.max_flow <= 0:
             raise ValueError("max flow index must be a positive odd integer")
         if self.depth < 1:

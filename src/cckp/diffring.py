@@ -14,11 +14,11 @@ remainders.  That determinism is what lets antiderivative atoms created in
 independent computations cancel exactly.
 
 Coefficients follow one rule: a coefficient is an ``int`` when it is
-integral and a ``Fraction`` only when it is not.  The reducer's rows are
-integer vectors, so each monomial's normal form is computed without
-fractions and stored as one integer form ``(den, pre, res)``.  ``integrate``
-reduces each class's terms together, as one vector against the class's
-reducer, sums the forms over a common denominator and divides once.
+integral and a ``Fraction`` only when it is not.  ``integrate`` scales each
+class's terms to one integer vector of content 1 (a monomial is a one-term
+vector), reduces it without fractions against the class's integer reducer,
+memoizes its form ``(den, pre, res)`` in one table, and sums the forms,
+weighted by the contents, over a common denominator and divides once.
 
 The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
@@ -505,12 +505,12 @@ class _Reducer:
             ))
         self.pivots = rows
 
-    def split(self, work: dict, den: int = 1):
-        """The canonical integer normal form of the vector work / den.
+    def split(self, work: dict):
+        """The canonical integer normal form of the integer vector work.
 
-        Returns (den', pre, res) with ``work / den == d_x(pre / den') +
-        res / den'``: pre and res are sorted (key, int) tuples, den' > 0 and
-        the gcd of den' and every coefficient is 1.  work is left as is.
+        Returns (den, pre, res) with ``work == d_x(pre / den) + res / den``:
+        pre and res are sorted (key, int) tuples, den > 0 and the gcd of den
+        and every coefficient is 1.  work is left as is.
         """
         rank = self.rank
         ranked = {}
@@ -526,9 +526,9 @@ class _Reducer:
         keys = self.keys
         res = [(keys[r], c) for r, c in ranked.items()]
         res += [(k, c * scale) for k, c in unranked]
-        g = gcd(den * scale, *pre.values(), *(c for _, c in res))
+        g = gcd(scale, *pre.values(), *(c for _, c in res))
         return (
-            den * scale // g,
+            scale // g,
             tuple(sorted((keys[r], c // g) for r, c in pre.items())),
             tuple(sorted((k, c // g) for k, c in res)),
         )
@@ -580,8 +580,8 @@ def _divided(vec: dict, den: int) -> dict:
 # form is globally consistent: independent computations always produce
 # identical atoms, which is what lets them cancel exactly.
 #
-# Every monomial, local or atom-bearing, has one memoized normal form,
-# `_nf_int`.  A monomial's closure depends only on its class: its symbol
+# Every class vector, a lone monomial included, has one memoized normal
+# form, `_form`.  A monomial's closure depends only on its class: its symbol
 # degrees, jet weight, lam power and atom multiset.  A lowering followed by
 # a raising (`_shift_order` by -1, then +1) moves one derivative order
 # between any two jet factors and leaves the atoms alone, so the walk from
@@ -606,8 +606,10 @@ _ELIMINATION_CAP = 2_000_000
 # The deepest an antiderivative atom may nest, I(I(...)) counting as 2.
 _NESTING_LIMIT = 2
 
-# monomial key -> its integer normal form (den, pre, res), for local keys as
-# well as atom keys: the monomial is d_x(pre / den) + res / den (`_Reducer.split`)
+# One class's integer vector -> its integer normal form (den, pre, res), with
+# ``vector == d_x(pre / den) + res / den`` (`_Reducer.split`).  A vector is a
+# tuple of (key, int) pairs, sorted, with content 1 and a positive first
+# coefficient; a monomial is ((key, 1),).
 _NF_ATOM_CACHE = {}
 
 
@@ -627,7 +629,7 @@ def _wrap_divisors(key):
 
 def _is_reduced_mono(key) -> bool:
     """Whether the monomial survives integration untouched."""
-    return not _nf_int(key)[1]
+    return not _form(((key, 1),))[1]
 
 
 def _candidates_for(key) -> dict:
@@ -737,39 +739,27 @@ def _local_reducer(symdeg, weight: int, scale: int, atoms) -> _Reducer:
 
 _NF_ATOM_BUILDING = set()
 
-# one class's integrand terms, as (key, int) pairs scaled over their common
-# denominator -> their integer form (den, pre, res), as `_NF_ATOM_CACHE` holds
-_GROUP_CACHE = {}
 
+def _form(work):
+    """The integer form (den, pre, res) of one class's vector, memoized.
 
-def _nf_int(key):
-    """Canonical split of one monomial as its integer form (den, pre, res).
-
-    Every monomial, local or atom-bearing, is split here.  Memoized globally
-    in `_NF_ATOM_CACHE`; the result depends on the monomial alone, never on
-    the expression it came from.  Only finished results are stored: a build
-    that needs its own result raises `EngineError` instead.
+    The form depends on the vector alone, never on the expression it came
+    from.  Only finished forms are stored in `_NF_ATOM_CACHE`: a build that
+    needs its own form raises `EngineError` instead.
     """
-    cached = _NF_ATOM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if key in _NF_ATOM_BUILDING:
-        raise EngineError(
-            f"the normal form of {DiffPoly.monomial(key)!r} depends on itself"
-        )
-    key = _intern(key)
-    _NF_ATOM_BUILDING.add(key)
+    form = _NF_ATOM_CACHE.get(work)
+    if form is not None:
+        return form
+    if work in _NF_ATOM_BUILDING:
+        raise EngineError(f"the normal form of {DiffPoly(work)!r} depends on itself")
+    work = tuple((_intern(k), c) for k, c in work)
+    _NF_ATOM_BUILDING.add(work)
     try:
-        result = _split_atom_mono(key)
+        form = _local_reducer(*_class_of(work[0][0])).split(dict(work))
     finally:
-        _NF_ATOM_BUILDING.discard(key)
-    _NF_ATOM_CACHE[key] = result
-    return result
-
-
-def _split_atom_mono(key):
-    """Uncached body of `_nf_int`: one reduction against its class's span."""
-    return _local_reducer(*_class_of(key)).split({key: 1})
+        _NF_ATOM_BUILDING.discard(work)
+    _NF_ATOM_CACHE[work] = form
+    return form
 
 
 def clear_caches() -> None:
@@ -778,8 +768,7 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    tables = (_NF_ATOM_CACHE, _GROUP_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED)
-    for table in tables:
+    for table in (_NF_ATOM_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED):
         table.clear()
     for cached in (_atom_depth, _local_reducer):
         cached.cache_clear()
@@ -792,26 +781,25 @@ def integrate(p: DiffPoly):
     Constants are irreducible (the ring has no explicit x), and the local
     part never contains a constant term, which pins the integration constant
     to zero.  The split is linear, and equal monomials resolve identically in
-    every context.  Terms are split by class: a lone term takes its
-    monomial's form, and a larger group is reduced once as one integer
-    vector, memoized in `_GROUP_CACHE`.
+    every context.  Terms are split by class: each class's terms are
+    scaled to a vector of integers with content 1 and a positive first
+    coefficient, whose form `_form` memoizes, and the form is weighted by
+    the content taken out.  A lone term is the vector ((key, 1),).
     """
     groups = {}
     for key, c in p.terms:
         groups.setdefault(_class_of(key), []).append((key, c))
     forms = []
-    for cls, terms in groups.items():
+    for terms in groups.values():
         if len(terms) == 1:
-            forms.append((terms[0][1], _nf_int(terms[0][0])))
+            key, c = terms[0]
+            forms.append((c, _form(((key, 1),))))
             continue
         scale = lcm(*(c.denominator for _, c in terms))
-        work = tuple(
-            (_intern(k), c.numerator * scale // c.denominator) for k, c in terms
-        )
-        form = _GROUP_CACHE.get(work)
-        if form is None:
-            form = _GROUP_CACHE[work] = _local_reducer(*cls).split(dict(work))
-        forms.append((1, (form[0] * scale, *form[1:])))
+        ints = [c.numerator * scale // c.denominator for _, c in terms]
+        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+        work = tuple((k, n // g) for (k, _), n in zip(terms, ints))
+        forms.append((Fraction(g, scale) if scale != 1 else g, _form(work)))
     # The integer forms are summed over one common denominator, divided once.
     den = 1
     for c, (d, _, _) in forms:
@@ -956,6 +944,8 @@ def _lam_power(p: DiffPoly) -> int:
 
 def _lam_factors(lambda_sq, powers) -> list:
     """lambda_sq^k for each (2k, source) in powers; an odd power raises."""
+    if isinstance(lambda_sq, bool) or not _fr(lambda_sq):
+        raise ValueError(f"lambda_sq must be a nonzero rational: {lambda_sq!r}")
     # A Fraction, so that a negative power stays exact (int ** -1 is a float).
     lambda_sq = Fraction(_fr(lambda_sq))
     factors = []

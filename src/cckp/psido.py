@@ -38,20 +38,25 @@ def gbinom(k: int, j: int) -> int:
     return num // math.factorial(j)
 
 
+def _check_depth(depth) -> None:
+    """A truncation depth is an `int`, not a `bool`, and at least 0."""
+    if type(depth) is not int or depth < 0:
+        raise ValueError(f"truncation depth must be an int >= 0, not {depth!r}")
+
+
 class PsiDO:
     """Sum of DiffPoly coefficients times integer powers of d/dx."""
 
     __slots__ = ("coeffs", "trunc_depth")
 
     def __init__(self, coeffs: dict, trunc_depth: int = EXACT_DEPTH):
+        _check_depth(trunc_depth)
         clean = {}
         for k, c in coeffs.items():
             if isinstance(c, (int, Fraction)):
                 c = DiffPoly.const(c)
             if not c.is_zero:
                 clean[k] = c
-        if trunc_depth < 0:
-            raise ValueError("truncation depth must be >= 0")
         for k in clean:
             if k < -trunc_depth:
                 raise ValueError(
@@ -152,6 +157,8 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
     when both operands are; an explicit `depth` may truncate further but
     never exceed it.
     """
+    if depth is not None:
+        _check_depth(depth)
     if not a.coeffs or not b.coeffs:
         return PsiDO.zero(
             depth if depth is not None else min(a.trunc_depth, b.trunc_depth)
@@ -229,6 +236,7 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
                 "pass an explicit depth"
             )
     else:
+        _check_depth(depth)
         if depth > a.trunc_depth:
             raise DepthExhausted(
                 f"requested depth {depth} exceeds the operand depth "

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import hierarchy
+from . import hierarchy, psido
 from .diffring import (
     DiffPoly,
     _lam_factors,
@@ -306,4 +306,5 @@ def clear_caches() -> None:
     """
     for cached in (build_matrix, step_matrix, reduce_matrix, _product_identity):
         cached.cache_clear()
+    psido.gbinom.cache_clear()
     hierarchy.clear_caches()

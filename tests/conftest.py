@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,3 +70,28 @@ def constant_part(p):
 def random_local_poly(rng, **kw):
     kw.setdefault("allow_atoms", False)
     return random_poly(rng, **kw)
+
+
+def memo_sizes(prefix="cckp"):
+    """The size of every memo table in the loaded modules under prefix.
+
+    A table is an `lru_cache` defined in a `cckp` module or a module-level
+    dict or set of the integration engine (`cckp.diffring`), so a table
+    added later is found without naming it here.
+    """
+    sizes = {}
+    for name, module in sorted(sys.modules.items()):
+        if module is None or not name.startswith(prefix):
+            continue
+        for attr, value in vars(module).items():
+            label = f"{name}.{attr}"
+            if callable(getattr(value, "cache_info", None)):
+                if getattr(value, "__module__", None) == name:
+                    sizes[label] = value.cache_info().currsize
+            elif (
+                name == "cckp.diffring"
+                and not attr.startswith("__")
+                and isinstance(value, (dict, set))
+            ):
+                sizes[label] = len(value)
+    return sizes

@@ -37,6 +37,22 @@ def test_config_validation():
         RunConfig(output_format="html")
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    (
+        {"max_flow": 7.0},
+        {"max_flow": True},
+        {"depth": 8.5},
+        {"depth": 8.0},
+        {"depth": True},
+    ),
+    ids=("float-flow", "bool-flow", "fractional-depth", "float-depth", "bool-depth"),
+)
+def test_config_takes_only_int_depth_and_flow(kwargs):
+    with pytest.raises(ValueError, match="must be an int"):
+        RunConfig(**kwargs)
+
+
 def test_derive_text(capsys):
     code, out, _ = run(capsys, "derive", "3")
     assert code == 0

@@ -35,6 +35,7 @@ from conftest import (
     SEED,
     constant_part,
     constant_term,
+    memo_sizes,
     random_local_poly,
     random_poly,
 )
@@ -53,8 +54,8 @@ def _reduce(reducer, vec):
     """
     den = math.lcm(*(Fraction(c).denominator for c in vec.values()))
     work = {k: int(c * den) for k, c in vec.items()}
-    den, pre, res = reducer.split(work, den)
-    return diffring._divided(dict(pre), den), diffring._divided(dict(res), den)
+    d, pre, res = reducer.split(work)
+    return tuple(diffring._divided(dict(v), d * den) for v in (pre, res))
 
 
 def _symdeg(jets):
@@ -65,9 +66,14 @@ def _symdeg(jets):
     return tuple(sorted(d.items()))
 
 
+def _mono_form(key):
+    """The engine's memoized integer form of one monomial, a one-term vector."""
+    return diffring._form(((key, 1),))
+
+
 def _nf_atom(key):
     """The engine's memoized split of one monomial as (d_x preimage, residue)."""
-    return _as_pair(diffring._nf_int(key))
+    return _as_pair(_mono_form(key))
 
 
 class TestArithmetic:
@@ -638,6 +644,16 @@ class TestScale:
         with pytest.raises(TypeError):
             scale_substitute(DiffPoly.zero(), 1 / 12)
 
+    @pytest.mark.parametrize("lambda_sq", (0, Fraction(0), True, False), ids=repr)
+    def test_lambda_sq_is_a_nonzero_rational(
+        self, atom_then_no_integration, lambda_sq
+    ):
+        # Zero has no negative powers, and a bool is not read as 0 or 1;
+        # both are refused before any term is renamed.
+        for p in (P("lam^-4*q"), Q, atom_then_no_integration, DiffPoly.zero()):
+            with pytest.raises(ValueError, match="lambda_sq"):
+                scale_substitute(p, lambda_sq)
+
 
 def _reference_proper_divisors(key):
     """Every nonempty scale-free sub-monomial of m except m itself."""
@@ -821,9 +837,10 @@ class TestCandidates:
             "pair = hierarchy.flow(1)\n"
             "while pair.m < 7:\n"
             "    pair = recursion.step(pair, paper)\n"
-            "assert any(atoms for _, atoms, _ in diffring._NF_ATOM_CACHE)\n"
+            "assert any(k[1] for w in diffring._NF_ATOM_CACHE for k, _ in w)\n"
             "print(tuple(diffring._atom_depth.cache_info()),"
-            " tuple(diffring._local_reducer.cache_info()))\n"
+            " tuple(diffring._local_reducer.cache_info()),"
+            " len(diffring._NF_ATOM_CACHE))\n"
         )
         src = str(Path(cckp.__file__).resolve().parent.parent)
         outputs = []
@@ -1137,44 +1154,46 @@ class TestMemoTables:
         assert antiderivative(p) == before
 
     def test_reentered_build_raises_and_leaves_no_state(self, monkeypatch):
-        p = QX * R * antiderivative(Q * R)
-        key = _single_key(p)
-        clear_caches()
-        before = integrate(p)
-        clear_caches()
-        with monkeypatch.context() as m:
+        def reentering(reducer, work):
             # A build that asks for its own normal form.
-            m.setattr(diffring, "_split_atom_mono", _nf_atom)
-            with pytest.raises(EngineError):
-                integrate(p)
-        assert key not in diffring._NF_ATOM_CACHE
-        assert not diffring._NF_ATOM_BUILDING
-        assert integrate(p) == before
+            return diffring._form(tuple(work.items()))
+
+        # A lone monomial and a group of one class, each its own vector.
+        for p in (QX * R * antiderivative(Q * R), _FRACTION_GROUP):
+            clear_caches()
+            before = integrate(p)
+            clear_caches()
+            with monkeypatch.context() as m:
+                m.setattr(diffring._Reducer, "split", reentering)
+                with pytest.raises(EngineError, match="depends on itself"):
+                    integrate(p)
+            assert not diffring._NF_ATOM_CACHE
+            assert not diffring._NF_ATOM_BUILDING
+            assert integrate(p) == before
 
     def test_clear_caches_empties_every_table(self):
         p = Q * R * antiderivative(Q * R) + QX * R * antiderivative(Q * Q)
         before = integrate(p)
         scale_substitute(Q * antiderivative(Q * Q), Fraction(1, 12))
         integrate(QX * RX + Q * DiffPoly.jet("r", 2))
-        assert diffring._GROUP_CACHE
+        assert any(len(work) > 1 for work in diffring._NF_ATOM_CACHE)
+        filled = memo_sizes("cckp.diffring")
+        assert {
+            f"cckp.diffring.{name}"
+            for name in (
+                "_NF_ATOM_CACHE", "_REDUCER_CACHE", "_CLASS_CLOSURES",
+                "_INTERNED", "_local_reducer", "_atom_depth",
+            )
+        } <= {label for label, size in filled.items() if size}
         clear_caches()
-        assert not diffring._NF_ATOM_CACHE
-        assert not diffring._GROUP_CACHE
-        assert not diffring._REDUCER_CACHE
-        assert not diffring._CLASS_CLOSURES
-        assert not diffring._INTERNED
-        cached = [
-            v for v in vars(diffring).values() if hasattr(v, "cache_info")
-        ]
-        assert diffring._local_reducer in cached
-        assert all(f.cache_info().currsize == 0 for f in cached)
+        assert set(memo_sizes("cckp.diffring").values()) == {0}
         assert integrate(p) == before
 
 
 def _reference_per_monomial_integrate(p):
-    """The per-monomial split: each key's `_nf_int` form, summed over one
+    """The per-monomial split: each key's own form, summed over one
     common denominator and divided once."""
-    forms = [(c, diffring._nf_int(key)) for key, c in p.terms]
+    forms = [(c, _mono_form(key)) for key, c in p.terms]
     den = 1
     for c, (d, _, _) in forms:
         den = math.lcm(den, d * Fraction(c).denominator)
@@ -1265,7 +1284,7 @@ class TestGroupedIntegrate:
         p = R * d_x(flow(5).q_t) + QX * R * antiderivative(Q * Q) + Q * RX
         clear_caches()
         first = integrate(p)
-        assert diffring._GROUP_CACHE
+        assert any(len(work) > 1 for work in diffring._NF_ATOM_CACHE)
         calls = []
         split = diffring._Reducer.split
 
@@ -1284,11 +1303,32 @@ class TestGroupedIntegrate:
             m.setattr(diffring, "_ELIMINATION_CAP", 0)
             with pytest.raises(EngineError):
                 integrate(p)
-        assert not diffring._GROUP_CACHE
+        assert not diffring._NF_ATOM_CACHE
         assert not diffring._REDUCER_CACHE
         got = integrate(p)
         clear_caches()
         assert got == integrate(p)
+
+    def test_multiple_of_a_group_reuses_its_form(self, monkeypatch):
+        # A class vector is stored with content 1 and a positive first
+        # coefficient, so a multiple of a group meets the group's form.
+        g = _FRACTION_GROUP
+        assert _class_sizes(g) == [3]
+        clear_caches()
+        f, rho = integrate(g)
+        size = len(diffring._NF_ATOM_CACHE)
+        calls = []
+        split = diffring._Reducer.split
+
+        def counting(self, *args):
+            calls.append(args)
+            return split(self, *args)
+
+        monkeypatch.setattr(diffring._Reducer, "split", counting)
+        for c in (2, -3, Fraction(5, 7)):
+            assert integrate(c * g) == (c * f, c * rho)
+        assert len(diffring._NF_ATOM_CACHE) == size
+        assert not calls
 
 
 def _reference_split_atom_mono(key):
@@ -1326,16 +1366,21 @@ def _reference_nf_any(key):
 def _fill_atom_cache(top):
     """Clear every memo table, run the step chain from t_1 to t_top through
     the paper's matrix, whose payloads carry atoms, then give every monomial
-    of a grouped split its own normal form."""
+    of a grouped split its own normal form.  Returns the monomials' forms,
+    keyed by monomial."""
     cckp.clear_caches()
     paper = recursion.build_matrix()
     pair = hierarchy.flow(1)
     while pair.m < top:
         pair = recursion.step(pair, paper)
-    for group in list(diffring._GROUP_CACHE):
-        for key, _ in group:
-            diffring._nf_int(key)
-    return dict(diffring._NF_ATOM_CACHE)
+    for work in list(diffring._NF_ATOM_CACHE):
+        for key, _ in work:
+            _mono_form(key)
+    return {
+        work[0][0]: form
+        for work, form in diffring._NF_ATOM_CACHE.items()
+        if len(work) == 1
+    }
 
 
 def _leaves(x):
@@ -1362,6 +1407,12 @@ def _as_pair(form):
     )
 
 
+def _split_over(reducer, work, den):
+    """The (preimage, residue) pair of the vector work / den."""
+    d, pre, res = reducer.split(work)
+    return _as_pair((d * den, pre, res))
+
+
 class TestAtomNormalForms:
     def test_atom_keys_are_bare_monomial_keys(self):
         cached = _fill_atom_cache(9)
@@ -1379,7 +1430,8 @@ class TestAtomNormalForms:
         assert len(cached) > 100
         for key, value in cached.items():
             reference = _reference_split_atom_mono(key)
-            assert _as_pair(diffring._split_atom_mono(key)) == reference
+            reducer = diffring._local_reducer(*diffring._class_of(key))
+            assert _as_pair(reducer.split({key: 1})) == reference
             assert _as_pair(value) == reference
 
     def test_normal_forms_do_not_depend_on_the_order(self):
@@ -1390,7 +1442,7 @@ class TestAtomNormalForms:
             cckp.clear_caches()
             for key in keys:
                 _nf_atom(key)
-            changed = [k for k in keys if diffring._NF_ATOM_CACHE[k] != cached[k]]
+            changed = [k for k in keys if _mono_form(k) != cached[k]]
             assert not changed, (seed, len(changed), len(keys))
 
 
@@ -1430,8 +1482,8 @@ class TestRankTables:
         other = _single_key(DiffPoly.jet("u", 1))
         assert other not in reducer.rank
         for den in (1, 6):
-            f, rho = _as_pair(reducer.split({key: 5, other: 3}, den))
-            alone_f, alone_rho = _as_pair(reducer.split({key: 5}, den))
+            f, rho = _split_over(reducer, {key: 5, other: 3}, den)
+            alone_f, alone_rho = _split_over(reducer, {key: 5}, den)
             tail = DiffPoly.monomial(other) * Fraction(3, den)
             assert (f, rho) == (alone_f, alone_rho + tail)
             assert d_x(f) + rho == (
@@ -1448,13 +1500,13 @@ class TestRankTables:
         for cls, keys in by_class.items():
             coeffs = {k: rng.choice((-3, -1, 1, 2, 7)) for k in keys}
             den = rng.choice((1, 2, 15))
-            got = diffring._local_reducer(*cls).split(dict(coeffs), den)
+            got = _split_over(diffring._local_reducer(*cls), coeffs, den)
             f = rho = DiffPoly.zero()
             for k, c in coeffs.items():
                 kf, krho = _reference_split_atom_mono(k)
                 f = f + kf * Fraction(c, den)
                 rho = rho + krho * Fraction(c, den)
-            assert _as_pair(got) == (f, rho)
+            assert got == (f, rho)
 
 
 def _reference_closure(key):
@@ -1507,7 +1559,7 @@ class TestClassClosures:
             random.Random(seed).shuffle(keys)
             clear_caches()
             for key in keys:
-                diffring._nf_int(key)
+                _mono_form(key)
             recorded = dict(diffring._CLASS_CLOSURES)
             assert len(recorded) > 100
             for cls in classes:
@@ -1534,9 +1586,8 @@ class TestClassClosures:
         _fill_atom_cache(9)
         canonical = {}
         keys = []
-        for key, (_, pre, res) in diffring._NF_ATOM_CACHE.items():
-            keys.append(key)
-            keys.extend(k for k, _ in pre + res)
+        for work, (_, pre, res) in diffring._NF_ATOM_CACHE.items():
+            keys.extend(k for k, _ in work + pre + res)
         for reducer in diffring._REDUCER_CACHE.values():
             keys.extend(reducer.keys)
         for candidates, visited in diffring._CLASS_CLOSURES.values():
@@ -1548,12 +1599,21 @@ class TestClassClosures:
 
     def test_stored_forms_are_canonical(self):
         cached = _fill_atom_cache(9)
-        for key, (den, pre, res) in cached.items():
+        vectors = list(diffring._NF_ATOM_CACHE.items())
+        assert sum(1 for work, _ in vectors if len(work) > 1) > 40
+        for work, (den, pre, res) in vectors:
+            # The vector: one class, content 1, positive first coefficient.
+            work_coeffs = [c for _, c in work]
+            assert all(type(c) is int and c for c in work_coeffs)
+            assert math.gcd(*work_coeffs) == 1 and work_coeffs[0] > 0
+            assert len({diffring._class_of(k) for k, _ in work}) == 1
+            # Its form.
             assert type(den) is int and den > 0
             coeffs = [c for _, c in pre + res]
             assert all(type(c) is int and c for c in coeffs)
             assert math.gcd(den, *coeffs) == 1
-            for items in (pre, res):
+            for items in (work, pre, res):
                 assert list(items) == sorted(items)
                 assert len({k for k, _ in items}) == len(items)
-            assert diffring._is_reduced_mono(key) == (not pre)
+        for key in cached:
+            assert diffring._is_reduced_mono(key) == (not cached[key][1])

@@ -102,6 +102,34 @@ def test_depth_propagation_rule():
     assert out.trunc_depth == min(8 - 2, 6 - 1)
 
 
+_BAD_DEPTHS = (True, False, 2.0, 2.5, Fraction(2), -1)
+
+
+@pytest.mark.parametrize("depth", _BAD_DEPTHS, ids=repr)
+def test_depth_is_an_int_of_at_least_zero(depth):
+    # One rule for every depth a caller passes: stored, composed or
+    # adjoined.  It is checked before any work, whatever the operands.
+    lax = PsiDO({1: DiffPoly.one(), -1: Q * R})
+    with pytest.raises(ValueError, match="truncation depth"):
+        PsiDO({0: Q}, depth)
+    with pytest.raises(ValueError, match="truncation depth"):
+        PsiDO.zero(depth)
+    for a, b in ((lax, lax), (PsiDO.zero(), lax), (PsiDO.d(), PsiDO.d())):
+        with pytest.raises(ValueError, match="truncation depth"):
+            compose(a, b, depth)
+    for a in (lax, PsiDO.zero(), PsiDO.d()):
+        with pytest.raises(ValueError, match="truncation depth"):
+            adjoint(a, depth)
+
+
+def test_good_depths_are_kept():
+    lax = PsiDO({1: DiffPoly.one(), -1: Q * R})
+    assert type(compose(lax, lax, 3).trunc_depth) is int
+    assert compose(lax, lax, 0).coeffs == {2: DiffPoly.one(), 0: 2 * Q * R}
+    assert adjoint(lax, 2).trunc_depth == 2
+    assert PsiDO({0: Q}, 0).trunc_depth == 0
+
+
 def test_adjoint_basics():
     assert adjoint(PsiDO.d()).coeffs == {1: -DiffPoly.one()}
     assert adjoint(PsiDO.d(-1), depth=4).coeffs == {-1: -DiffPoly.one()}

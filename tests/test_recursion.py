@@ -320,6 +320,13 @@ class TestScaling:
             with pytest.raises(TypeError):
                 scale_operator(op, 1 / 12)
 
+    @pytest.mark.parametrize("lambda_sq", (0, Fraction(0), True, False), ids=repr)
+    def test_lambda_sq_is_a_nonzero_rational(self, lambda_sq):
+        negative = IntDiffOperator(((1, term(DiffPoly.lam(-4) * Q * Q)),))
+        for op in (negative, reduce_matrix(), IntDiffOperator()):
+            with pytest.raises(ValueError, match="lambda_sq"):
+                scale_operator(op, lambda_sq)
+
     def test_scaled_flows(self):
         lam_sq = Fraction(1, 12)
         third = substitute_r_to_q(flow(3).q_t)
