@@ -1,6 +1,6 @@
 """Differential polynomial ring over Q in jet variables, with antiderivative atoms.
 
-Values are immutable and every operation returns a new canonical ``DiffPoly``.
+Values are immutable; every operation returns a new ``DiffPoly`` (see its terms).
 The ring knows three dependent symbols (``q``, ``r`` and the rescaled ``u``),
 a formal scale constant ``lam``, and formal antiderivatives ``I(...)`` of
 expressions that are not total x-derivatives.
@@ -29,8 +29,10 @@ merges two longer sorted factor tuples in one two-pointer pass, and a
 one-order jet shift looks only at the shifted factor's neighbour.
 
 A sum of many polynomials goes through one rule, `poly_sum`: every weighted
-piece is added into one sparse dict and the result is sorted once, where a
-chain of ``+`` would sort every partial sum again.
+piece is added into one sparse dict and the result is built once from it.
+No result is sorted.  A reader that needs an order sorts for itself: display,
+`integrate`'s class vectors, the chain order of operators, and each walk over
+terms that can raise, so that its error names the same term in any order.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _addto(acc: dict, items, c=None) -> None:
 
 
 def poly_sum(pieces) -> DiffPoly:
-    """The sum of c * p over (c, p) pairs: one sparse dict, one canonical sort.
+    """The sum of c * p over (c, p) pairs, built once from one sparse dict.
 
     The weights c are rationals.  No partial sum is built as a `DiffPoly`,
     and pieces given by a generator are added one at a time, so each can be
@@ -236,7 +238,12 @@ def _display_key(item):
 
 
 class DiffPoly:
-    """Exact-rational polynomial in jet variables and antiderivative atoms."""
+    """Exact-rational polynomial in jet variables and antiderivative atoms.
+
+    `terms` holds (key, coeff) pairs with distinct keys and nonzero canonical
+    coefficients (`_fr`) in no promised order: equality and hash read them as
+    a mapping, and `display_terms` gives the one order output uses.
+    """
 
     # `_dx` keeps d_x(self) once computed; it is freed with the polynomial.
     __slots__ = ("terms", "_dx")
@@ -247,9 +254,9 @@ class DiffPoly:
 
     @classmethod
     def _from_dict(cls, d) -> "DiffPoly":
-        return cls(tuple(sorted(
+        return cls(tuple([
             (k, c if c.denominator != 1 else c.numerator) for k, c in d.items() if c
-        )))
+        ]))
 
     @classmethod
     def zero(cls) -> "DiffPoly":
@@ -294,13 +301,14 @@ class DiffPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffPoly):
-            return self.terms == other.terms
+            a, b = self.terms, other.terms
+            return len(a) == len(b) and dict(a) == dict(b)
         if isinstance(other, (int, Fraction)):
             return self == DiffPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(frozenset(self.terms))
 
     def __add__(self, other) -> "DiffPoly":
         other = _coerce(other)
@@ -344,9 +352,9 @@ class DiffPoly:
             # products meet, so they need no summing dict.
             (k1, c1), = a
             products = ((_key_mul(k1, k2), c1 * c2) for k2, c2 in b)
-            return DiffPoly(tuple(sorted(
+            return DiffPoly(tuple([
                 (k, p if p.denominator != 1 else p.numerator) for k, p in products
-            )))
+            ]))
         d = {}
         _products_into(d, a, b)
         return DiffPoly._from_dict(d)
@@ -781,13 +789,13 @@ def integrate(p: DiffPoly):
     Constants are irreducible (the ring has no explicit x), and the local
     part never contains a constant term, which pins the integration constant
     to zero.  The split is linear, and equal monomials resolve identically in
-    every context.  Terms are split by class: each class's terms are
+    every context.  Terms are split by class: each class's terms are sorted,
     scaled to a vector of integers with content 1 and a positive first
     coefficient, whose form `_form` memoizes, and the form is weighted by
     the content taken out.  A lone term is the vector ((key, 1),).
     """
     groups = {}
-    for key, c in p.terms:
+    for key, c in sorted(p.terms):
         groups.setdefault(_class_of(key), []).append((key, c))
     forms = []
     for terms in groups.values():
@@ -830,7 +838,7 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
     if not rho.terms:
         return local
     out = dict(local.terms)
-    for (jets, atoms, scale), c in rho.terms:
+    for (jets, atoms, scale), c in sorted(rho.terms):
         akey = (jets, atoms, 0)
         depth = _atom_depth(akey)
         if depth > _NESTING_LIMIT:
@@ -865,7 +873,7 @@ def prolong_t(p: DiffPoly, q_t: DiffPoly, r_t: DiffPoly) -> DiffPoly:
 
     def rec(poly: DiffPoly) -> DiffPoly:
         acc = {}
-        for key, c in poly.terms:
+        for key, c in sorted(poly.terms):
             jets, atoms, scale = key
             for i, ((sym, order), power) in enumerate(jets):
                 base = (((_drop_one(jets, i), atoms, scale), c * power),)
@@ -890,7 +898,7 @@ def apply_symbol_map(p: DiffPoly, mapping: dict) -> DiffPoly:
     becomes reducible is resolved through `antiderivative`.
     """
     acc = {}
-    for key, c in p.terms:
+    for key, c in sorted(p.terms):
         jets, atoms, scale = key
         new_jets = {}
         for (sym, order), power in jets:
@@ -972,8 +980,9 @@ def scale_substitute(p: DiffPoly, lambda_sq) -> DiffPoly:
     q-degree throughout the input; `OddScaleResidue` is raised otherwise,
     before any term is renamed or integrated.
     """
-    terms = [DiffPoly((t,)) for t in p.terms]
+    ordered = sorted(p.terms)
+    terms = [DiffPoly((t,)) for t in ordered]
     factors = _lam_factors(lambda_sq, [(_lam_power(t) - 1, t) for t in terms])
     return _rename_q_to_u(
-        DiffPoly((key, c * f) for (key, c), f in zip(p.terms, factors))
+        DiffPoly((key, c * f) for (key, c), f in zip(ordered, factors))
     )

@@ -64,7 +64,7 @@ def _normalize_chain(factors) -> tuple:
 def _chain_key(chain):
     """The sort key that orders an operator's chains."""
     return tuple(
-        ("m", f.terms) if _is_mul(f) else (f,) for f in chain
+        ("m", tuple(sorted(f.terms))) if _is_mul(f) else (f,) for f in chain
     )
 
 

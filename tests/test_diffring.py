@@ -26,7 +26,13 @@ from cckp.diffring import (
     swap_q_r,
 )
 from cckp.errors import EngineError, NestingTooDeep, OddScaleResidue
-from cckp.grammar import parse_poly, poly_from_json, poly_json, poly_text
+from cckp.grammar import (
+    parse_poly,
+    poly_from_json,
+    poly_json,
+    poly_latex,
+    poly_text,
+)
 from cckp.hierarchy import flow, lax_power, prolong_flow
 from cckp.psido import residue
 
@@ -171,7 +177,10 @@ class TestPolySum:
                 expected = expected + p * w
             got = diffring.poly_sum(pieces)
             assert got == expected
-            assert got.terms == tuple(sorted(got.terms))
+            # The terms promise distinct keys, not an order; compare them
+            # sorted, apart from `DiffPoly.__eq__`.
+            assert len({k for k, _ in got.terms}) == len(got.terms)
+            assert sorted(got.terms) == sorted(expected.terms)
             for _, c in got.terms:
                 assert c and type(c) is (int if c.denominator == 1 else Fraction)
             seen.add((
@@ -184,6 +193,132 @@ class TestPolySum:
         # come out integral all occurred.
         assert {(False, True, False), (True, True, False)} <= seen
         assert (True, False, True) in seen
+
+
+def _reordered(p, rng):
+    """p rebuilt from a shuffled copy of its terms, never in the same order."""
+    terms = list(p.terms)
+    rng.shuffle(terms)
+    if len(terms) > 1 and tuple(terms) == p.terms:
+        terms.reverse()
+    return DiffPoly(tuple(terms))
+
+
+def _outcome(fn, p):
+    """fn(p)'s terms (or each part's terms) sorted, or the error it raised."""
+    try:
+        out = fn(p)
+    except EngineError as err:
+        return type(err), str(err)
+    parts = out if isinstance(out, tuple) else (out,)
+    return tuple(sorted(part.terms) for part in parts)
+
+
+def _error_messages(run, error, a, b):
+    """The messages of the errors run raises on terms a and b in both orders."""
+    messages = set()
+    for terms in ((a, b), (b, a)):
+        with pytest.raises(error) as err:
+            run(DiffPoly(terms))
+        messages.add(str(err.value))
+    return messages
+
+
+def _groups_reordered(p, rebuilt) -> bool:
+    """Whether some class holds two terms of p that rebuilt stores swapped."""
+    def groups(x):
+        out = {}
+        for key, _ in x.terms:
+            out.setdefault(diffring._class_of(key), []).append(key)
+        return out
+
+    return groups(p) != groups(rebuilt)
+
+
+class TestTermOrder:
+    """A polynomial's value does not depend on the order of its terms.
+
+    `DiffPoly.terms` promises distinct keys, not an order: every reader that
+    needs one sorts for itself.  Each check rebuilds a polynomial from its
+    terms in another order and compares what the engine makes of both.
+    """
+
+    def test_rebuilt_polynomial_is_the_same_value_randomized(self):
+        rng = random.Random(SEED)
+        reordered_groups = 0
+        for _ in range(150):
+            # A derivative puts several terms in one class, as `integrate`
+            # groups them.
+            p = random_poly(rng, allow_atoms=True, allow_scale=True) + d_x(
+                random_poly(rng, allow_atoms=True, allow_scale=True)
+            )
+            rebuilt = _reordered(p, rng)
+            assert sorted(rebuilt.terms) == sorted(p.terms)
+            assert rebuilt == p and hash(rebuilt) == hash(p)
+            assert poly_text(rebuilt) == poly_text(p)
+            assert poly_latex(rebuilt) == poly_latex(p)
+            assert poly_json(rebuilt) == poly_json(p)
+            assert sorted(d_x(rebuilt).terms) == sorted(d_x(p).terms)
+            first = _outcome(integrate, p)
+            forms = len(diffring._NF_ATOM_CACHE)
+            assert _outcome(integrate, rebuilt) == first
+            # A class's vector is keyed in one order whatever the input's.
+            assert len(diffring._NF_ATOM_CACHE) == forms
+            assert _outcome(antiderivative, rebuilt) == _outcome(antiderivative, p)
+            reordered_groups += _groups_reordered(p, rebuilt)
+        assert reordered_groups >= 10
+
+    def test_odd_scale_error_names_one_term_in_any_order(self):
+        # lam^1 from q^2 and lam^3 from q^4: both odd, with different messages.
+        (a,), (b,) = (Q ** 2).terms, (Q ** 4).terms
+        (message,) = _error_messages(
+            lambda p: scale_substitute(p, Fraction(1, 12)), OddScaleResidue, a, b
+        )
+        assert "odd scale exponent" in message
+
+    def test_closure_cap_error_names_one_class_in_any_order(self, monkeypatch):
+        # Two classes whose closure walks both pass the cap.
+        q3, r3 = DiffPoly.jet("q", 3), DiffPoly.jet("r", 3)
+        (a,), (b,) = (q3 * q3 * r3).terms, (r3 * r3 * q3 * q3).terms
+        monkeypatch.setattr(diffring, "_CLOSURE_CAP", 5)
+
+        def cold_integrate(p):
+            clear_caches()
+            return integrate(p)
+
+        (message,) = _error_messages(cold_integrate, EngineError, a, b)
+        assert "diffring._CLOSURE_CAP = 5" in message
+
+    def test_nesting_error_names_the_smallest_remainder_key(self, monkeypatch):
+        # integrate's remainder holds r^2*I(q*q[4]) before the smaller key
+        # r^2*I(q*r^2); antiderivative names the atom of the smaller one.
+        atom = antiderivative(R * R)
+        q2 = DiffPoly.jet("q", 2)
+        p = Fraction(2, 3) * q2 * q2 * atom + Fraction(3, 2) * Q * R * R * atom
+        jets, atoms, _ = min(k for k, _ in integrate(p)[1].terms if k[1])
+        monkeypatch.setattr(diffring, "_NESTING_LIMIT", 1)
+        with pytest.raises(NestingTooDeep) as err:
+            antiderivative(p)
+        assert f"atom I({poly_text(DiffPoly.monomial((jets, atoms, 0)))})" in str(err.value)
+
+    @pytest.mark.parametrize("entry", ("antiderivative", "swap_q_r", "prolong_t"))
+    def test_nesting_error_names_one_atom_in_any_order(self, entry, monkeypatch):
+        # Two terms in two classes, each of which makes an atom 2 deep: a
+        # remainder to integrate, or an atom rebuilt after a renaming or
+        # along the scaling flow q_t = q, r_t = r.
+        inner = antiderivative(Q * R)
+        pieces = Q ** 2 * inner, R ** 2 * inner
+        run = {
+            "antiderivative": antiderivative,
+            "swap_q_r": swap_q_r,
+            "prolong_t": lambda p: prolong_t(p, Q, R),
+        }[entry]
+        if entry != "antiderivative":
+            pieces = tuple(map(antiderivative, pieces))
+        (a,), (b,) = (piece.terms for piece in pieces)
+        monkeypatch.setattr(diffring, "_NESTING_LIMIT", 1)
+        (message,) = _error_messages(run, NestingTooDeep, a, b)
+        assert "would nest 2 deep" in message
 
 
 class TestDerivative:

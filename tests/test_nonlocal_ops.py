@@ -57,6 +57,26 @@ def test_chains_hold_the_module_markers():
     assert operator_text(op) == operator_text(ref) == "q d^-1 q d"
 
 
+def test_chain_order_does_not_depend_on_payload_term_order():
+    # Keys a < b < c < d: the payloads a + d and b + c order one way by
+    # their sorted terms and the other way by their terms reversed.
+    a, b, c, d = sorted(
+        m.terms[0] for m in (Q, R, QX, DiffPoly.jet("r", 1))
+    )
+    ops = []
+    for f, g in (((a, d), (b, c)), ((d, a), (c, b))):
+        ops.append(IntDiffOperator((
+            (2, term(DiffPoly(g), DXINV, Q)),
+            (1, term(DiffPoly(f), DXINV, Q)),
+        )))
+    first, second = ops
+    assert second == first and hash(second) == hash(first)
+    assert second.terms == first.terms
+    assert [w for w, _ in first.terms] == [1, 2]
+    assert operator_json(second) == operator_json(first)
+    assert operator_text(second) == operator_text(first)
+
+
 def test_operator_merges_identical_chains():
     op = IntDiffOperator(
         ((2, term(QX, DXINV, Q)), (3, term(QX, DXINV, Q)))
