@@ -23,10 +23,14 @@ weighted by the contents, over a common denominator and divides once.
 The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
 recorded whole and reused by later walks, and a reducer build computes each
-key's priority once.  The key kernels do no more than their inputs need: a
-product skips empty factor tuples, inserts a one-factor side by bisection and
-merges two longer sorted factor tuples in one two-pointer pass, and a
-one-order jet shift looks only at the shifted factor's neighbour.
+key's priority once.  The key kernels do no more than their inputs need.  Two
+polynomials of two or more terms, all local and free of lam, multiply as
+packed ints: a key product is one int addition, and each distinct product is
+decoded to a key once.  Any other key product, and every product with a
+one-term side, whose products never meet, merges factor tuples: it skips
+empty ones, inserts a one-factor side by bisection and merges two longer
+sorted ones in one two-pointer pass.  A one-order jet shift looks only at the
+shifted factor's neighbour.
 
 A sum of many polynomials goes through one rule, `poly_sum`: every weighted
 piece is added into one sparse dict and the result is built once from it.
@@ -171,13 +175,82 @@ def _key_mul(k1, k2):
     )
 
 
-def _products_into(acc: dict, a_terms, b_terms, c=1) -> None:
-    """Add c * (a * b) into the sparse dict acc, a and b given by their terms.
+# Packed products (Monagan & Pearce, CASC 2007).  A key with no atoms, no
+# lam and degree under 128 packs into one int: the power of jet (sym, order)
+# sits in the 8-bit slot at bit 24*order + 8*SYMBOLS.index(sym).  The sum of
+# two packed keys is their product, with no carry between slots.  The layout
+# is fixed, so a pack stays valid for the life of its polynomial.
+_PACK = {}  # key -> its int, or False when the key cannot be packed
+_UNPACK = {}  # int -> its key, built once per distinct product
+_FACTORS = {}  # (slot, power) -> the one ((sym, order), power) pair decoding it
 
-    The one product loop of the ring: `DiffPoly.__mul__` and the Leibniz
-    expansion of operators both sum their products here.
+
+def _pack_key(key):
+    """The packed int of key, or False when it has atoms, lam or degree >= 128."""
+    e = _PACK.get(key)
+    if e is None:
+        jets, atoms, scale = key
+        e = _PACK[key] = not (atoms or scale or _jet_degree(jets) >= 128) and sum(
+            p << 24 * order + 8 * SYMBOLS.index(sym) for (sym, order), p in jets
+        )
+    return e
+
+
+def _unpack(e):
+    """The key of the packed int e, jets sorted by symbol and then order."""
+    by_sym = ([], [], [])
+    slot = 0
+    while e:
+        p = e & 255
+        if p:
+            f = _FACTORS.get((slot, p))
+            if f is None:
+                f = _FACTORS[slot, p] = ((SYMBOLS[slot % 3], slot // 3), p)
+            by_sym[slot % 3].append(f)
+        e >>= 8
+        slot += 1
+    return (*by_sym[0], *by_sym[1], *by_sym[2]), (), 0
+
+
+def _packed(p):
+    """p's terms as (packed int, coeff) pairs, or False; kept on p."""
+    if p._pack is None:
+        pack = tuple((_pack_key(k), c) for k, c in p.terms)
+        p._pack = all(e is not False for e, _ in pack) and pack
+    return p._pack
+
+
+def _products_into(acc: dict, a: DiffPoly, b: DiffPoly, c=1) -> None:
+    """Add c * (a * b) into the sparse dict acc.
+
+    The one product loop of the ring: `DiffPoly.__mul__`, the Leibniz
+    expansion of operators and `prolong_t` all sum their products here.
+    When both sides have two or more terms and all their keys pack, each
+    key product is one int addition, decoded through `_UNPACK`; otherwise
+    the keys are merged by `_key_mul`.  Both paths insert the same keys in
+    the same order.
     """
     get = acc.get
+    a_terms, b_terms = a.terms, b.terms
+    if len(a_terms) > 1 and len(b_terms) > 1:
+        pa = _packed(a)
+        pb = pa and _packed(b)
+        if pb:
+            unpack = _UNPACK
+            for e1, c1 in pa:
+                if c != 1:
+                    c1 = c * c1
+                for e2, c2 in pb:
+                    e = e1 + e2
+                    k = unpack.get(e)
+                    if k is None:
+                        k = unpack[e] = _unpack(e)
+                    v = get(k, 0) + c1 * c2
+                    if v:
+                        acc[k] = v
+                    elif k in acc:
+                        del acc[k]
+            return
     for k1, c1 in a_terms:
         if c != 1:
             c1 = c * c1
@@ -242,19 +315,24 @@ class DiffPoly:
 
     `terms` holds (key, coeff) pairs with distinct keys and nonzero canonical
     coefficients (`_fr`) in no promised order: equality and hash read them as
-    a mapping, and `display_terms` gives the one order output uses.
+    a mapping, and `display_terms` gives the one order output uses.  The
+    constructor sums repeated keys, drops zeros and canonicalizes; the ring's
+    own results, whose terms are canonical already, go through `_poly`.
     """
 
-    # `_dx` keeps d_x(self) once computed; it is freed with the polynomial.
-    __slots__ = ("terms", "_dx")
+    # `_dx` keeps d_x(self) once computed, and `_pack` the packed terms of
+    # `_packed`; both are freed with the polynomial.
+    __slots__ = ("terms", "_dx", "_pack")
 
     def __init__(self, terms=()):
-        self.terms = tuple(terms)
-        self._dx = None
+        acc = {}
+        _addto(acc, ((k, _fr(c)) for k, c in terms))
+        self.terms = DiffPoly._from_dict(acc).terms
+        self._dx = self._pack = None
 
     @classmethod
     def _from_dict(cls, d) -> "DiffPoly":
-        return cls(tuple([
+        return _poly(tuple([
             (k, c if c.denominator != 1 else c.numerator) for k, c in d.items() if c
         ]))
 
@@ -269,12 +347,12 @@ class DiffPoly:
     @classmethod
     def const(cls, c) -> "DiffPoly":
         c = _fr(c)
-        return cls(((_EMPTY_KEY, c),)) if c else _ZERO_POLY
+        return _poly(((_EMPTY_KEY, c),)) if c else _ZERO_POLY
 
     @classmethod
     def monomial(cls, key) -> "DiffPoly":
         """The monic one-term polynomial with the given monomial key."""
-        return cls(((key, 1),))
+        return _poly(((key, 1),))
 
     @classmethod
     def jet(cls, symbol: str, order: int = 0) -> "DiffPoly":
@@ -321,7 +399,7 @@ class DiffPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly(tuple((k, -c) for k, c in self.terms))
+        return _poly(tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -338,7 +416,7 @@ class DiffPoly:
             if not c:
                 return _ZERO_POLY
             products = ((k, c * v) for k, v in self.terms)
-            return DiffPoly(tuple(
+            return _poly(tuple(
                 (k, p if p.denominator != 1 else p.numerator)
                 for k, p in products
             ))
@@ -352,11 +430,11 @@ class DiffPoly:
             # products meet, so they need no summing dict.
             (k1, c1), = a
             products = ((_key_mul(k1, k2), c1 * c2) for k2, c2 in b)
-            return DiffPoly(tuple([
+            return _poly(tuple([
                 (k, p if p.denominator != 1 else p.numerator) for k, p in products
             ]))
         d = {}
-        _products_into(d, a, b)
+        _products_into(d, self, other)
         return DiffPoly._from_dict(d)
 
     __rmul__ = __mul__
@@ -387,13 +465,22 @@ class DiffPoly:
         return all(k == _EMPTY_KEY for k, _ in self.terms)
 
     def atom_part(self) -> "DiffPoly":
-        return DiffPoly(tuple((k, c) for k, c in self.terms if k[1]))
+        return _poly(tuple((k, c) for k, c in self.terms if k[1]))
 
     def display_terms(self):
         return sorted(self.terms, key=_display_key)
 
 
-_ZERO_POLY = DiffPoly()
+def _poly(terms) -> DiffPoly:
+    """The polynomial with these terms, taken as they are: canonical
+    results of the ring, or a one-term operand only read by a product."""
+    p = object.__new__(DiffPoly)
+    p.terms = terms
+    p._dx = p._pack = None
+    return p
+
+
+_ZERO_POLY = _poly(())
 _ONE_POLY = DiffPoly.monomial(_EMPTY_KEY)
 
 
@@ -776,7 +863,8 @@ def clear_caches() -> None:
     The tables are process-global and unbounded; later calls refill what
     they need.  Do not call it while another thread is computing.
     """
-    for table in (_NF_ATOM_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED):
+    tables = _NF_ATOM_CACHE, _REDUCER_CACHE, _CLASS_CLOSURES, _INTERNED
+    for table in (*tables, _PACK, _UNPACK, _FACTORS):
         table.clear()
     for cached in (_atom_depth, _local_reducer):
         cached.cache_clear()
@@ -876,13 +964,13 @@ def prolong_t(p: DiffPoly, q_t: DiffPoly, r_t: DiffPoly) -> DiffPoly:
         for key, c in sorted(poly.terms):
             jets, atoms, scale = key
             for i, ((sym, order), power) in enumerate(jets):
-                base = (((_drop_one(jets, i), atoms, scale), c * power),)
-                _products_into(acc, base, flow_deriv(sym, order).terms)
+                base = _poly((((_drop_one(jets, i), atoms, scale), c * power),))
+                _products_into(acc, base, flow_deriv(sym, order))
             for i, (akey, power) in enumerate(atoms):
                 if akey not in atom_cache:
                     atom_cache[akey] = antiderivative(rec(DiffPoly.monomial(akey)))
-                base = (((jets, _drop_one(atoms, i), scale), c * power),)
-                _products_into(acc, base, atom_cache[akey].terms)
+                base = _poly((((jets, _drop_one(atoms, i), scale), c * power),))
+                _products_into(acc, base, atom_cache[akey])
         return DiffPoly._from_dict(acc)
 
     return rec(p)

@@ -199,14 +199,14 @@ def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
     dict, seeded with what `out` already holds there, and turned into one
     canonical coefficient at the end.
     """
-    a_terms = [
-        (k, (ak if isinstance(ak, DiffPoly) else DiffPoly.const(ak)).terms)
+    a_polys = [
+        (k, ak if isinstance(ak, DiffPoly) else DiffPoly.const(ak))
         for k, ak in a.items()
     ]
     sums = {}
     for l, bl in b.items():
         derivs = [bl]
-        for k, terms in a_terms:
+        for k, ak in a_polys:
             top = k if k >= 0 else k + l + eff
             for j in range(top + 1):
                 n = k + l - j
@@ -219,7 +219,7 @@ def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
                 acc = sums.get(n)
                 if acc is None:
                     acc = sums[n] = dict(out[n].terms) if n in out else {}
-                _products_into(acc, terms, derivs[j].terms, gbinom(k, j))
+                _products_into(acc, ak, derivs[j], gbinom(k, j))
     for n, acc in sums.items():
         out[n] = DiffPoly._from_dict(acc)
 

@@ -124,11 +124,118 @@ class TestArithmetic:
             b = random_poly(rng, max_terms=5, allow_atoms=True, allow_scale=True)
             a = a * rng.choice((1, -3, Fraction(2, 3), Fraction(3, 2)))
             d = {}
-            diffring._products_into(d, a.terms, b.terms)
+            diffring._products_into(d, a, b)
             want = DiffPoly._from_dict(d).terms
             for got in (a * b, b * a):
                 assert got.terms == want
                 assert _coeff_types(got) == _coeff_types(DiffPoly(want))
+
+
+def _merged_products_into(acc, a, b, c=1):
+    """`_products_into` by the key merge alone, for every pair of keys."""
+    for k1, c1 in a.terms:
+        for k2, c2 in b.terms:
+            k = diffring._key_mul(k1, k2)
+            v = acc.get(k, 0) + c * c1 * c2
+            if v:
+                acc[k] = v
+            elif k in acc:
+                del acc[k]
+
+
+def _both_products(a, b, c=1):
+    """The dicts `_products_into` and the merge oracle fill from empty."""
+    got, want = {}, {}
+    diffring._products_into(got, a, b, c)
+    _merged_products_into(want, a, b, c)
+    return got, want
+
+
+class TestPackedProducts:
+    """Local, lam-free sides multiply as packed ints; the rest by the merge."""
+
+    def test_products_match_the_merge_randomized(self):
+        rng = random.Random(SEED)
+        packed = 0
+        for i in range(300):
+            kw = dict(
+                max_terms=5, max_factors=3, max_order=9, max_weight=30,
+                symbols=("q", "r", "u"),
+                allow_atoms=i % 3 == 0, allow_scale=i % 5 == 0,
+            )
+            a, b = random_poly(rng, **kw), random_poly(rng, **kw)
+            c = rng.choice((1, -2, Fraction(3, 4)))
+            seed = {k: 1 for k, _ in (a * b).terms[:2]}
+            got, want = _both_products(a, b, c)
+            assert got == want
+            assert list(got) == list(want)
+            # A seeded dict (as the Leibniz expansion passes) as well.
+            got, want = dict(seed), dict(seed)
+            diffring._products_into(got, a, b, c)
+            _merged_products_into(want, a, b, c)
+            assert list(got.items()) == list(want.items())
+            packed += bool(
+                len(a.terms) > 1 and len(b.terms) > 1
+                and diffring._packed(a) and diffring._packed(b)
+            )
+        assert packed > 50
+
+    def test_sides_with_atoms_or_lam_are_not_packed(self):
+        atom = antiderivative(P("q*r"))
+        assert diffring._packed(Q + atom) is False
+        assert diffring._packed(Q + DiffPoly.lam()) is False
+        assert diffring._packed(Q * DiffPoly.lam(-1) + R) is False
+        assert diffring._packed(Q + R)
+
+    def test_degree_127_packs_and_degree_128_falls_back(self):
+        # Two packed keys of degree under 128 sum without a carry between
+        # 8-bit slots; a key of degree 128 is not packed at all.
+        b = Q + R
+        for power, packs in ((127, True), (128, False)):
+            a = Q ** power + QX
+            assert bool(diffring._packed(a)) is packs
+            got, want = _both_products(a, b)
+            assert list(got.items()) == list(want.items())
+            assert got[(((("q", 0), power + 1),), (), 0)] == 1
+
+    def test_packs_made_before_clear_caches_stay_valid(self):
+        a = P("q*r' + 2*u[9]^3 - q[4]*r")
+        b = P("r[2]^2 - u*q + 3")
+        before = a * b
+        assert diffring._packed(a) and diffring._packed(b)
+        clear_caches()
+        assert not diffring._UNPACK
+        assert a._pack and b._pack
+        got, want = _both_products(a, b)
+        assert list(got.items()) == list(want.items())
+        assert a * b == before
+
+
+class TestConstructor:
+    """`DiffPoly(terms)` is canonical: repeated keys summed, zeros dropped."""
+
+    T = ((((("q", 0), 1),), (), 0), 1)
+
+    def test_repeated_keys_are_summed(self):
+        p = DiffPoly((self.T, self.T))
+        assert p == 2 * Q and hash(p) == hash(2 * Q)
+        assert p + 0 == p and hash(p + 0) == hash(p)
+        assert p.terms == (2 * Q).terms
+
+    def test_zero_terms_are_dropped(self):
+        k = self.T[0]
+        for p in (DiffPoly(((k, 0),)), DiffPoly(((k, 1), (k, -1)))):
+            assert not p and p.is_zero
+            assert p == 0 and p == DiffPoly.zero()
+            assert hash(p) == hash(DiffPoly.zero())
+
+    def test_coefficients_are_canonical(self):
+        half = (self.T[0], Fraction(1, 2))
+        for p in (DiffPoly(((self.T[0], Fraction(4, 2)),)), DiffPoly((half,) * 4)):
+            assert p == 2 * Q and hash(p) == hash(2 * Q)
+            assert _coeff_types(p) == {int}
+        with pytest.raises(TypeError):
+            DiffPoly(((self.T[0], 0.5),))
 
 
 def _coeff_types(*polys):

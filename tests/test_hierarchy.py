@@ -1,5 +1,6 @@
 """Lax operator, flow generators, hierarchy flows, and consistency checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,7 @@ from cckp.diffring import (
     swap_q_r,
 )
 from cckp.errors import DepthExhausted
+from cckp.grammar import poly_text
 from cckp.hierarchy import (
     FlowPair,
     bn,
@@ -424,6 +426,31 @@ class TestFlows:
         assert after == before
         assert after is not before
         assert recursion.verify_aratyn_identities(3, Q, R) == identities
+
+    @pytest.mark.slow
+    def test_generator_route_digest_survives_clear_caches(self):
+        # A digest is the sha256 of poly_text(q_t), then poly_text(r_t),
+        # for t_1, t_3, ..., t_17.  Flows kept from the first pass carry
+        # packs that outlive the cleared tables, and a product with other
+        # jets first would take the first slots of a layout assigned in
+        # use order; neither may change a byte.
+        def digest():
+            h = hashlib.sha256()
+            for n in range(1, 18, 2):
+                pair = flow(n)
+                h.update(poly_text(pair.q_t).encode())
+                h.update(poly_text(pair.r_t).encode())
+            return h.hexdigest()[:8]
+
+        assert digest() == "4046f9f8"
+        a, b = flow(5).q_t, flow(3).r_t
+        product = a * b
+        cckp.clear_caches()
+        assert P("r[7]*u[2] + 1") * P("r[3]^2 + q") == P(
+            "r[3]^2*r[7]*u[2] + q*r[7]*u[2] + r[3]^2 + q"
+        )
+        assert a * b == product
+        assert digest() == "4046f9f8"
 
     def test_flowpair_validation(self):
         with pytest.raises(ValueError):
