@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import diffring, hierarchy, recursion
 from .diffring import DiffPoly, scale_substitute, substitute_r_to_q
-from .errors import EngineError
+from .errors import EngineError, require_int
 from .grammar import poly_json, poly_latex, poly_text
 from .hierarchy import CheckReport, by_order
 from .nonlocal_ops import (
@@ -39,14 +39,10 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self):
-        for name in ("depth", "max_flow"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, not {value!r}")
-        if self.max_flow % 2 == 0 or self.max_flow <= 0:
+        require_int(self.depth, "depth", 1)
+        require_int(self.max_flow, "max_flow", 1)
+        if self.max_flow % 2 == 0:
             raise ValueError("max flow index must be a positive odd integer")
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
         if self.output_format not in ("text", "latex", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

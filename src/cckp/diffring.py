@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import EngineError, NestingTooDeep, OddScaleResidue
+from .errors import EngineError, NestingTooDeep, OddScaleResidue, require_int
 
 SYMBOLS = ("q", "r", "u")
 
@@ -358,14 +358,12 @@ class DiffPoly:
     def jet(cls, symbol: str, order: int = 0) -> "DiffPoly":
         if symbol not in SYMBOLS:
             raise ValueError(f"unknown symbol {symbol!r}")
-        if type(order) is not int or order < 0:
-            raise ValueError("derivative order must be an int >= 0")
+        require_int(order, "derivative order", 0)
         return cls.monomial(((((symbol, order), 1),), (), 0))
 
     @classmethod
     def lam(cls, exponent: int = 1) -> "DiffPoly":
-        if type(exponent) is not int:
-            raise ValueError("lam exponent must be an int")
+        require_int(exponent, "lam exponent")
         return cls.monomial(((), (), exponent))
 
     # -- ring structure -----------------------------------------------------
@@ -440,10 +438,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DiffPoly":
-        if type(n) is not int:
-            raise ValueError("ring powers must be ints")
-        if n < 0:
-            raise ValueError("negative powers are not defined in the ring")
+        require_int(n, "ring power", 0)
         out = _ONE_POLY
         for _ in range(n):
             out = out * self
@@ -520,8 +515,7 @@ def _dx_key(key) -> dict:
 
 def d_x(p: DiffPoly, n: int = 1) -> DiffPoly:
     """n-th total x-derivative, memoized link by link in `_dx`."""
-    if type(n) is not int or n < 0:
-        raise ValueError("derivative order must be an int >= 0")
+    require_int(n, "derivative order", 0)
     for _ in range(n):
         if p._dx is None:
             d = {}
@@ -692,8 +686,6 @@ def _divided(vec: dict, den: int) -> dict:
 # monomial of that smaller span is a leading monomial of m's span as well,
 # and the reduction against m's span has already eliminated it.
 
-_WRAP_DEPTH_CAP = 3
-
 _CLOSURE_CAP = 6000
 
 _ELIMINATION_CAP = 2_000_000
@@ -742,8 +734,6 @@ def _candidates_for(key) -> dict:
     )
     if atoms:
         for nu in _wrap_divisors(key):
-            if _atom_depth(nu) > _WRAP_DEPTH_CAP:
-                continue
             if not _is_reduced_mono(nu):
                 continue
             quotient = ((), _factor_sub(atoms, nu[1]), scale)

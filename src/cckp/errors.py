@@ -27,3 +27,14 @@ class ResidualNonlocal(EngineError):
 
 class GrammarError(EngineError, ValueError):
     """Malformed textual or JSON expression input."""
+
+
+def require_int(value, name: str, low: int | None = None) -> None:
+    """Refuse a bool, any other non-int, and an int below `low`.
+
+    Depths, orders, powers and flow indices are counts for `range` and keys
+    of memo tables, where `True` or `3.0` would pass for 1 or 3.
+    """
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an int{bound}, not {value!r}")

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from . import diffring
 from .diffring import DiffPoly, d_x, poly_sum, prolong_t
-from .errors import DepthExhausted
+from .errors import DepthExhausted, require_int
 from .psido import (
     PsiDO,
     adjoint,
@@ -28,12 +28,6 @@ _Q = DiffPoly.jet("q")
 _R = DiffPoly.jet("r")
 
 
-def _require_int(value, name: str) -> None:
-    """Refuse a bool or any non-int, which `range` and the memo keys misread."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, not {value!r}")
-
-
 @dataclass(frozen=True)
 class FlowPair:
     """One time-flow of the hierarchy: the pair (q_t, r_t)."""
@@ -43,8 +37,8 @@ class FlowPair:
     r_t: DiffPoly
 
     def __post_init__(self):
-        _require_int(self.m, "flow index")
-        if self.m <= 0 or self.m % 2 == 0:
+        require_int(self.m, "flow index", 1)
+        if self.m % 2 == 0:
             raise ValueError("flow index must be a positive odd integer")
         if not (self.q_t.is_local and self.r_t.is_local):
             raise ValueError("hierarchy flows must be local")
@@ -105,14 +99,10 @@ def lax_power(n: int, depth: int | None = None) -> PsiDO:
     The default depth budget is n + 3.  Each composition with L loses one
     trusted order, so the result is exact down to order -(depth - n + 1).
     """
-    _require_int(n, "power")
-    if n < 1:
-        raise ValueError("power must be >= 1")
+    require_int(n, "power", 1)
     if depth is None:
         depth = n + 3
-    _require_int(depth, "depth")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    require_int(depth, "depth", 1)
     eff = depth - n + 1
     if eff < 0:
         raise DepthExhausted(
@@ -128,8 +118,8 @@ def lax_operator(depth: int) -> PsiDO:
 
 def bn(n: int) -> PsiDO:
     """The flow generator: differential part of L^n, exact at every order."""
-    _require_int(n, "flow index")
-    if n <= 0 or n % 2 == 0:
+    require_int(n, "flow index", 1)
+    if n % 2 == 0:
         raise ValueError("the hierarchy has odd flows only")
     return PsiDO({j: _power_coeff(n, j) for j in range(n + 1)})
 

@@ -20,7 +20,7 @@ from .diffring import (
     substitute_r_to_q as poly_substitute_r_to_q,
     swap_q_r as poly_swap_q_r,
 )
-from .errors import GrammarError
+from .errors import GrammarError, require_int
 from .grammar import (
     LATEX,
     TEXT,
@@ -173,13 +173,8 @@ def _apply_factor(factor, value: DiffPoly) -> DiffPoly:
     return factor * value
 
 
-def _check_depth(depth) -> None:
-    if type(depth) is not int or depth < 1:
-        raise ValueError(f"expansion depth must be an int >= 1, not {depth!r}")
-
-
 def expand_term_to_psido(chain: tuple, depth: int) -> PsiDO:
-    _check_depth(depth)
+    require_int(depth, "expansion depth", 1)
     budgets = []
     need = depth
     for factor in chain:
@@ -209,7 +204,7 @@ def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
 
     Each order is summed once over all chains, at the smallest depth.
     """
-    _check_depth(depth)
+    require_int(depth, "expansion depth", 1)
     trusted, pieces = depth, {}
     for weight, chain in operator.terms:
         series = expand_term_to_psido(chain, depth)

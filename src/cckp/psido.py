@@ -9,13 +9,17 @@ the sentinel depth `EXACT_DEPTH`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 from .diffring import DiffPoly, _products_into, d_x, poly_sum
-from .errors import DepthExhausted, GrammarError, NegativeOrderApplication
+from .errors import (
+    DepthExhausted,
+    GrammarError,
+    NegativeOrderApplication,
+    require_int,
+)
 from .grammar import (
     LATEX,
     TEXT,
@@ -27,21 +31,12 @@ from .grammar import (
 )
 
 EXACT_DEPTH = 10 ** 9
+_SIGNS = (DiffPoly.one(), -DiffPoly.one())  # (-1)^k, indexed by k % 2
 
 
-@lru_cache(maxsize=None)
 def gbinom(k: int, j: int) -> int:
     """Generalized binomial coefficient C(k, j) for any integer k, j >= 0."""
-    num = 1
-    for i in range(j):
-        num *= k - i
-    return num // math.factorial(j)
-
-
-def _check_depth(depth) -> None:
-    """A truncation depth is an `int`, not a `bool`, and at least 0."""
-    if type(depth) is not int or depth < 0:
-        raise ValueError(f"truncation depth must be an int >= 0, not {depth!r}")
+    return comb(k, j) if k >= 0 else (-1) ** j * comb(j - k - 1, j)
 
 
 class PsiDO:
@@ -50,9 +45,10 @@ class PsiDO:
     __slots__ = ("coeffs", "trunc_depth")
 
     def __init__(self, coeffs: dict, trunc_depth: int = EXACT_DEPTH):
-        _check_depth(trunc_depth)
+        require_int(trunc_depth, "truncation depth", 0)
         clean = {}
         for k, c in coeffs.items():
+            require_int(k, "operator order")
             if isinstance(c, (int, Fraction)):
                 c = DiffPoly.const(c)
             if not c.is_zero:
@@ -158,7 +154,7 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
     never exceed it.
     """
     if depth is not None:
-        _check_depth(depth)
+        require_int(depth, "truncation depth", 0)
     if not a.coeffs or not b.coeffs:
         return PsiDO.zero(
             depth if depth is not None else min(a.trunc_depth, b.trunc_depth)
@@ -194,19 +190,14 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
 def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
     """Add the generalized-Leibniz expansion of a o b into out, down to -eff.
 
-    `a` and `b` map orders to coefficients; coefficients of `a` may also be
-    plain integers.  Each output order's products are summed in one sparse
-    dict, seeded with what `out` already holds there, and turned into one
-    canonical coefficient at the end.
+    `a` and `b` map orders to `DiffPoly` coefficients.  Each output order's
+    products are summed in one sparse dict, seeded with what `out` already
+    holds there, and turned into one canonical coefficient at the end.
     """
-    a_polys = [
-        (k, ak if isinstance(ak, DiffPoly) else DiffPoly.const(ak))
-        for k, ak in a.items()
-    ]
     sums = {}
     for l, bl in b.items():
         derivs = [bl]
-        for k, ak in a_polys:
+        for k, ak in a.items():
             top = k if k >= 0 else k + l + eff
             for j in range(top + 1):
                 n = k + l - j
@@ -236,7 +227,7 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
                 "pass an explicit depth"
             )
     else:
-        _check_depth(depth)
+        require_int(depth, "truncation depth", 0)
         if depth > a.trunc_depth:
             raise DepthExhausted(
                 f"requested depth {depth} exceeds the operand depth "
@@ -245,7 +236,7 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
         eff = depth
     out = {}
     for k, c in a.coeffs.items():
-        _leibniz_into(out, {k: -1 if k % 2 else 1}, {0: c}, eff)
+        _leibniz_into(out, {k: _SIGNS[k % 2]}, {0: c}, eff)
     return PsiDO(out, eff)
 
 
@@ -339,8 +330,6 @@ def psido_json(a: PsiDO) -> dict:
 def psido_from_json(data: dict) -> PsiDO:
     try:
         depth = data.get("trunc_depth")
-        if depth is not None and type(depth) is not int:
-            raise ValueError(f"trunc_depth must be an int, got {depth!r}")
         coeffs = {
             int(k): poly_from_json(v) for k, v in data["coeffs"].items()
         }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import hierarchy, psido
+from . import hierarchy
 from .diffring import (
     DiffPoly,
     _lam_factors,
@@ -24,6 +24,7 @@ from .nonlocal_ops import (
     _map_payloads,
     apply,
     eliminate_trailing_dx,
+    expand_term_to_psido,
     expand_to_psido,
     substitute_r_to_q,
     swap_q_r,
@@ -246,22 +247,17 @@ def verify_aratyn_identities(
     with (f1, g1, f2, g2) = (f, g, g, f) in the third.
     """
     generator = bn(n)
-    fg = expand_to_psido(
-        IntDiffOperator(((1, term(f, DXINV, g)),)), depth + n
-    )
+    fg = expand_term_to_psido(term(f, DXINV, g), depth + n)
 
     lhs1 = minus_part(compose(generator, fg))
-    rhs1 = expand_to_psido(
-        IntDiffOperator(((1, term(psido_apply(generator, f), DXINV, g)),)),
-        depth,
+    rhs1 = expand_term_to_psido(
+        term(psido_apply(generator, f), DXINV, g), depth
     )
     res1 = residuals(lhs1, minus_part(rhs1), depth)
 
     lhs2 = minus_part(compose(fg, generator))
     adj_g = psido_apply(adjoint(generator), g)
-    rhs2 = expand_to_psido(
-        IntDiffOperator(((1, term(f, DXINV, adj_g)),)), depth
-    )
+    rhs2 = expand_term_to_psido(term(f, DXINV, adj_g), depth)
     res2 = residuals(lhs2, minus_part(rhs2), depth)
 
     collected = []
@@ -278,12 +274,8 @@ def verify_aratyn_identities(
 def _product_identity(f: DiffPoly, g: DiffPoly, depth: int) -> dict:
     """Per-order residuals of the third identity, which does not involve n."""
     f1, g1, f2, g2 = f, g, g, f
-    e1 = expand_to_psido(
-        IntDiffOperator(((1, term(f1, DXINV, g1)),)), depth + 1
-    )
-    e2 = expand_to_psido(
-        IntDiffOperator(((1, term(f2, DXINV, g2)),)), depth + 1
-    )
+    e1 = expand_term_to_psido(term(f1, DXINV, g1), depth + 1)
+    e2 = expand_term_to_psido(term(f2, DXINV, g2), depth + 1)
     lhs3 = compose(e1, e2)
     inner = antiderivative(g1 * f2)
     rhs3 = expand_to_psido(
@@ -306,5 +298,4 @@ def clear_caches() -> None:
     """
     for cached in (build_matrix, step_matrix, reduce_matrix, _product_identity):
         cached.cache_clear()
-    psido.gbinom.cache_clear()
     hierarchy.clear_caches()

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,8 +46,15 @@ def test_config_validation():
         {"depth": 8.5},
         {"depth": 8.0},
         {"depth": True},
+        {"max_flow": Fraction(3)},
+        {"max_flow": -1},
+        {"depth": Fraction(2)},
+        {"depth": 0},
     ),
-    ids=("float-flow", "bool-flow", "fractional-depth", "float-depth", "bool-depth"),
+    ids=(
+        "float-flow", "bool-flow", "fractional-depth", "float-depth", "bool-depth",
+        "Fraction-flow", "negative-flow", "Fraction-depth", "zero-depth",
+    ),
 )
 def test_config_takes_only_int_depth_and_flow(kwargs):
     with pytest.raises(ValueError, match="must be an int"):

@@ -128,6 +128,10 @@ def test_parsers_raise_only_grammar_errors(parse, data):
 def test_psido_json_round_trip():
     op = PsiDO({2: P("q*r"), 0: P("3*q"), -1: P("I(q^2)")}, 4)
     assert psido_from_json(psido_json(op)) == op
+    # An order that the JSON form could not read back is refused up front.
+    for order in (True, 1.5, Fraction(1)):
+        with pytest.raises(ValueError, match="operator order"):
+            psido_json(PsiDO({order: P("q")}))
 
 
 def test_latex_shapes():

@@ -173,7 +173,9 @@ def test_expand_single_inverse():
 
 
 @pytest.mark.parametrize(
-    "depth", (True, 2.0, 2.5, 0, -1), ids=("bool", "float", "fraction", "0", "-1")
+    "depth",
+    (True, 2.0, 2.5, Fraction(2), 0, -1),
+    ids=("bool", "float", "fraction", "Fraction", "0", "-1"),
 )
 @pytest.mark.parametrize(
     "op",

@@ -1,5 +1,6 @@
 """Operator algebra: composition, adjoint, projections, residue."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -68,6 +69,13 @@ def test_gbinom():
     assert [gbinom(3, j) for j in range(5)] == [1, 3, 3, 1, 0]
     assert [gbinom(-1, j) for j in range(4)] == [1, -1, 1, -1]
     assert gbinom(-2, 3) == -4
+    # The falling-factorial product k (k-1) ... (k-j+1) / j!, for either sign of k.
+    for k in range(-12, 13):
+        for j in range(14):
+            num = 1
+            for i in range(j):
+                num *= k - i
+            assert gbinom(k, j) == Fraction(num, math.factorial(j))
 
 
 def test_compose_d_with_inverse():
@@ -120,6 +128,14 @@ def test_depth_is_an_int_of_at_least_zero(depth):
     for a in (lax, PsiDO.zero(), PsiDO.d()):
         with pytest.raises(ValueError, match="truncation depth"):
             adjoint(a, depth)
+
+
+@pytest.mark.parametrize("order", (True, 1.5, Fraction(1)), ids=repr)
+def test_orders_are_ints(order):
+    # A bool, float or Fraction order would render as d^True or d^1.5 and
+    # could not be read back from JSON.
+    with pytest.raises(ValueError, match="operator order must be an int"):
+        PsiDO({order: Q})
 
 
 def test_good_depths_are_kept():
@@ -343,8 +359,10 @@ class TestLeibnizKernel:
         for _ in range(40):
             a = _random_operator(rng, 4)
             b = _random_operator(rng, 4)
-            # Integer coefficients of a, as the adjoint passes them.
-            a_int = {k: rng.choice((-2, -1, 1, 3)) for k in a.coeffs}
+            # Constant coefficients of a, as the adjoint passes them.
+            a_int = {
+                k: DiffPoly.const(rng.choice((-2, -1, 1, 3))) for k in a.coeffs
+            }
             for lhs in (a.coeffs, a_int):
                 start = {k: _random_coeff(rng) for k in range(-3, 3)}
                 got, ref = dict(start), dict(start)
