@@ -23,14 +23,16 @@ weighted by the contents, over a common denominator and divides once.
 The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
 recorded whole and reused by later walks, and a reducer build computes each
-key's priority once.  The key kernels do no more than their inputs need.  Two
-polynomials of two or more terms, all local and free of lam, multiply as
-packed ints: a key product is one int addition, and each distinct product is
-decoded to a key once.  Any other key product, and every product with a
-one-term side, whose products never meet, merges factor tuples: it skips
-empty ones, inserts a one-factor side by bisection and merges two longer
-sorted ones in one two-pointer pass.  A one-order jet shift looks only at the
-shifted factor's neighbour.
+key's priority once.  The key kernels do no more than their inputs need.
+Polynomials whose keys are all local and free of lam multiply in
+`_products_into` as packed ints, one-term sides included: a key product is
+one int addition, and each distinct product is decoded to a key once.  Such
+a polynomial is also differentiated on its pack, and its derivative keeps
+its own pack.  Any other key product, and `DiffPoly.__mul__` by a one-term
+side, whose products never meet, merges factor tuples: it skips empty ones,
+inserts a one-factor side by bisection and merges two longer sorted ones in
+one two-pointer pass.  A one-order jet shift looks only at the shifted
+factor's neighbour.
 
 A sum of many polynomials goes through one rule, `poly_sum`: every weighted
 piece is added into one sparse dict and the result is built once from it.
@@ -178,8 +180,10 @@ def _key_mul(k1, k2):
 # Packed products (Monagan & Pearce, CASC 2007).  A key with no atoms, no
 # lam and degree under 128 packs into one int: the power of jet (sym, order)
 # sits in the 8-bit slot at bit 24*order + 8*SYMBOLS.index(sym).  The sum of
-# two packed keys is their product, with no carry between slots.  The layout
+# two packed keys is their product, with no carry between slots, and adding
+# _RAISE << bit moves one power of the jet at bit up one order.  The layout
 # is fixed, so a pack stays valid for the life of its polynomial.
+_RAISE = (1 << 24) - 1
 _PACK = {}  # key -> its int, or False when the key cannot be packed
 _UNPACK = {}  # int -> its key, built once per distinct product
 _FACTORS = {}  # (slot, power) -> the one ((sym, order), power) pair decoding it
@@ -199,16 +203,12 @@ def _pack_key(key):
 def _unpack(e):
     """The key of the packed int e, jets sorted by symbol and then order."""
     by_sym = ([], [], [])
-    slot = 0
-    while e:
-        p = e & 255
+    for slot, p in enumerate(e.to_bytes((e.bit_length() + 7) // 8, "little")):
         if p:
             f = _FACTORS.get((slot, p))
             if f is None:
                 f = _FACTORS[slot, p] = ((SYMBOLS[slot % 3], slot // 3), p)
             by_sym[slot % 3].append(f)
-        e >>= 8
-        slot += 1
     return (*by_sym[0], *by_sym[1], *by_sym[2]), (), 0
 
 
@@ -223,38 +223,36 @@ def _packed(p):
 def _products_into(acc: dict, a: DiffPoly, b: DiffPoly, c=1) -> None:
     """Add c * (a * b) into the sparse dict acc.
 
-    The one product loop of the ring: `DiffPoly.__mul__`, the Leibniz
-    expansion of operators and `prolong_t` all sum their products here.
-    When both sides have two or more terms and all their keys pack, each
-    key product is one int addition, decoded through `_UNPACK`; otherwise
-    the keys are merged by `_key_mul`.  Both paths insert the same keys in
-    the same order.
+    The one product loop of the ring: `DiffPoly.__mul__` (both sides of two
+    or more terms), the Leibniz expansion of operators and `prolong_t` all
+    sum their products here.  When all keys of both sides pack, one-term
+    sides included, each key product is one int addition, decoded through
+    `_UNPACK`; otherwise the keys are merged by `_key_mul`.  Both paths
+    insert the same keys in the same order.
     """
     get = acc.get
-    a_terms, b_terms = a.terms, b.terms
-    if len(a_terms) > 1 and len(b_terms) > 1:
-        pa = _packed(a)
-        pb = pa and _packed(b)
-        if pb:
-            unpack = _UNPACK
-            for e1, c1 in pa:
-                if c != 1:
-                    c1 = c * c1
-                for e2, c2 in pb:
-                    e = e1 + e2
-                    k = unpack.get(e)
-                    if k is None:
-                        k = unpack[e] = _unpack(e)
-                    v = get(k, 0) + c1 * c2
-                    if v:
-                        acc[k] = v
-                    elif k in acc:
-                        del acc[k]
-            return
-    for k1, c1 in a_terms:
+    pa = _packed(a)
+    pb = pa and _packed(b)
+    if pb:
+        unpack = _UNPACK
+        for e1, c1 in pa:
+            if c != 1:
+                c1 = c * c1
+            for e2, c2 in pb:
+                e = e1 + e2
+                k = unpack.get(e)
+                if k is None:
+                    k = unpack[e] = _unpack(e)
+                v = get(k, 0) + c1 * c2
+                if v:
+                    acc[k] = v
+                elif k in acc:
+                    del acc[k]
+        return
+    for k1, c1 in a.terms:
         if c != 1:
             c1 = c * c1
-        for k2, c2 in b_terms:
+        for k2, c2 in b.terms:
             k = _key_mul(k1, k2)
             v = get(k, 0) + c1 * c2
             if v:
@@ -513,15 +511,54 @@ def _dx_key(key) -> dict:
     return out
 
 
+def _dx_packed(p: DiffPoly, pack) -> DiffPoly:
+    """d_x of p from its pack, keeping the result's pack on it.
+
+    Each key's jets are walked in `_dx_key`'s order, so the result's keys
+    come in the order the key-by-key path gives them.
+    """
+    acc = {}
+    get = acc.get
+    index = SYMBOLS.index
+    for (key, c), (e, _) in zip(p.terms, pack):
+        for (sym, order), power in key[0]:
+            e1 = e + (_RAISE << 24 * order + 8 * index(sym))
+            v = get(e1, 0) + c * power
+            if v:
+                acc[e1] = v
+            elif e1 in acc:
+                del acc[e1]
+    unpack = _UNPACK
+    terms, out_pack = [], []
+    for e, v in acc.items():
+        k = unpack.get(e)
+        if k is None:
+            k = unpack[e] = _unpack(e)
+        if v.denominator == 1:
+            v = v.numerator
+        terms.append((k, v))
+        out_pack.append((e, v))
+    out = _poly(tuple(terms))
+    out._pack = tuple(out_pack)
+    return out
+
+
 def d_x(p: DiffPoly, n: int = 1) -> DiffPoly:
-    """n-th total x-derivative, memoized link by link in `_dx`."""
+    """n-th total x-derivative, memoized link by link in `_dx`.
+
+    A polynomial whose keys all pack is differentiated on its pack.
+    """
     require_int(n, "derivative order", 0)
     for _ in range(n):
         if p._dx is None:
-            d = {}
-            for key, c in p.terms:
-                _addto(d, _dx_key(key).items(), c)
-            p._dx = DiffPoly._from_dict(d)
+            pack = _packed(p)
+            if pack:
+                p._dx = _dx_packed(p, pack)
+            else:
+                d = {}
+                for key, c in p.terms:
+                    _addto(d, _dx_key(key).items(), c)
+                p._dx = DiffPoly._from_dict(d)
         p = p._dx
     return p
 

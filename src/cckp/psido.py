@@ -278,6 +278,7 @@ def commutator(a: PsiDO, b: PsiDO) -> PsiDO:
 
 def residuals(a: PsiDO, b: PsiDO, depth: int) -> dict:
     """Per-order differences of two operators, down to the given depth."""
+    require_int(depth, "comparison depth", 0)
     if a.trunc_depth < depth or b.trunc_depth < depth:
         raise DepthExhausted(
             f"comparison depth {depth} exceeds trusted depths "
@@ -330,9 +331,14 @@ def psido_json(a: PsiDO) -> dict:
 def psido_from_json(data: dict) -> PsiDO:
     try:
         depth = data.get("trunc_depth")
-        coeffs = {
-            int(k): poly_from_json(v) for k, v in data["coeffs"].items()
-        }
+        coeffs = {}
+        for k, v in data["coeffs"].items():
+            # An order key is `str(order)`, as `psido_json` writes it:
+            # `1.5`, `True`, "01" or "+1" would pass `int` as order 1 and
+            # could replace another key's coefficient.
+            if type(k) is not str or str(int(k)) != k:
+                raise ValueError(f"order key {k!r} is not the str() of an int")
+            coeffs[int(k)] = poly_from_json(v)
         return PsiDO(coeffs, EXACT_DEPTH if depth is None else depth)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GrammarError(f"malformed operator JSON: {exc}") from exc

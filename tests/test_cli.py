@@ -359,11 +359,20 @@ _GOLDEN_CASES = (
     ]
     + [(f"verify_all.{fmt}", ["verify", "all"]) for fmt in ("text", "json")]
     + [("verify_all_9.json", ["verify", "all", "--max-flow", "9"])]
+    + [("verify_all_11.json", ["verify", "all", "--max-flow", "11"])]
 )
+_SLOW_GOLDENS = {"verify_all_11.json"}
 
 
 @pytest.mark.parametrize(
-    "name, argv", _GOLDEN_CASES, ids=[name for name, _ in _GOLDEN_CASES]
+    "name, argv",
+    [
+        pytest.param(
+            name, argv, id=name,
+            marks=[pytest.mark.slow] if name in _SLOW_GOLDENS else [],
+        )
+        for name, argv in _GOLDEN_CASES
+    ],
 )
 def test_golden_output(capsys, clean_env, name, argv):
     """stdout matches the recorded output byte for byte."""

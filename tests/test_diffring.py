@@ -180,6 +180,34 @@ class TestPackedProducts:
             )
         assert packed > 50
 
+    def test_one_term_sides_match_the_merge_randomized(self):
+        # One-term sides pack as well: their products never meet, but a
+        # seeded dict (as the Leibniz expansion passes) must still get the
+        # merge's keys, coefficients and key order.
+        rng = random.Random(SEED)
+        packed = 0
+        for i in range(300):
+            kw = dict(
+                max_factors=3, max_order=9, max_weight=30,
+                symbols=("q", "r", "u"),
+                allow_atoms=i % 3 == 0, allow_scale=i % 5 == 0,
+            )
+            a = random_poly(rng, max_terms=1, **kw)
+            b = random_poly(rng, max_terms=1 + i % 5, **kw)
+            c = rng.choice((1, -2, Fraction(3, 4)))
+            seed = {k: 1 for k, _ in (a * b + b).terms[:3]}
+            for x, y in ((a, b), (b, a)):
+                for start in ({}, seed):
+                    got, want = dict(start), dict(start)
+                    diffring._products_into(got, x, y, c)
+                    _merged_products_into(want, x, y, c)
+                    assert list(got.items()) == list(want.items())
+            packed += bool(
+                len(a.terms) == 1
+                and diffring._packed(a) and diffring._packed(b)
+            )
+        assert packed > 50
+
     def test_sides_with_atoms_or_lam_are_not_packed(self):
         atom = antiderivative(P("q*r"))
         assert diffring._packed(Q + atom) is False
@@ -209,6 +237,95 @@ class TestPackedProducts:
         got, want = _both_products(a, b)
         assert list(got.items()) == list(want.items())
         assert a * b == before
+
+
+def _dx_by_keys(p):
+    """d_x of p key by key through `_dx_key`, the path of unpackable keys."""
+    d = {}
+    for key, c in p.terms:
+        diffring._addto(d, diffring._dx_key(key).items(), c)
+    return DiffPoly._from_dict(d)
+
+
+def _no_dx_key(key):
+    raise AssertionError(f"_dx_key called on {key!r}")
+
+
+def _assert_pack_decodes(p):
+    """p keeps a pack whose ints decode to its terms, in its order."""
+    assert p._pack is not None
+    assert [(diffring._unpack(e), c) for e, c in p._pack] == list(p.terms)
+    assert [e for e, _ in p._pack] == [diffring._pack_key(k) for k, _ in p.terms]
+
+
+class TestPackedDerivative:
+    """d_x of a packable polynomial works on its pack, like `_dx_key`."""
+
+    def test_matches_the_key_path_randomized(self):
+        rng = random.Random(SEED)
+        packed = 0
+        for i in range(300):
+            p = random_poly(
+                rng, max_terms=6, max_factors=3, max_order=9, max_weight=30,
+                symbols=("q", "r", "u"),
+                allow_atoms=i % 4 == 0, allow_scale=i % 7 == 0,
+            )
+            p = p * rng.choice((1, -3, Fraction(1, 2), Fraction(2, 3)))
+            want = _dx_by_keys(p)
+            got = d_x(p)
+            assert list(got.terms) == list(want.terms)
+            assert _coeff_types(got) == _coeff_types(want)
+            if diffring._packed(p):
+                packed += 1
+                _assert_pack_decodes(got)
+        assert packed > 150
+
+    def test_derivative_chains_stay_packed(self, monkeypatch):
+        p = P("1/2*q^2*r' - 3*u[4]*q + r^3 + 7")
+        want = [p]
+        for _ in range(6):
+            want.append(_dx_by_keys(want[-1]))
+        monkeypatch.setattr(diffring, "_dx_key", _no_dx_key)
+        for n in range(1, 7):
+            got = d_x(p, n)
+            assert list(got.terms) == list(want[n].terms)
+            _assert_pack_decodes(got)
+
+    def test_degree_127_packs_and_the_rest_falls_back(self, monkeypatch):
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return dx_key(key)
+
+        dx_key = diffring._dx_key
+        atom = antiderivative(P("q*r"))
+        for p, packs in (
+            (Q ** 126 * R + QX, True),
+            (Q ** 127 * R + QX, False),
+            (Q * atom + QX, False),
+            (DiffPoly.lam(2) * Q + QX, False),
+        ):
+            want = _dx_by_keys(p)
+            calls.clear()
+            monkeypatch.setattr(diffring, "_dx_key", counted)
+            got = d_x(p)
+            monkeypatch.setattr(diffring, "_dx_key", dx_key)
+            assert list(got.terms) == list(want.terms)
+            assert bool(diffring._packed(p)) is packs
+            assert bool(calls) is not packs
+            assert (got._pack is not None) is packs
+
+    def test_packs_made_before_clear_caches_stay_valid(self):
+        p = P("q*r' + 2*u[9]^3 - q[4]*r^2")
+        want = _dx_by_keys(p)
+        assert diffring._packed(p)
+        clear_caches()
+        assert not diffring._UNPACK and not diffring._PACK
+        got = d_x(p, 2)
+        assert list(d_x(p).terms) == list(want.terms)
+        assert list(got.terms) == list(_dx_by_keys(want).terms)
+        _assert_pack_decodes(got)
 
 
 class TestConstructor:

@@ -118,6 +118,28 @@ def test_json_rejects_garbage():
         # The operator and its coefficient table are JSON objects.
         (psido_from_json, []),
         (psido_from_json, {"coeffs": []}),
+        # Order keys are ints written as strings: `1.5`, `True`, "01" and
+        # "+1" all pass `int` as order 1.
+        (
+            psido_from_json,
+            {"coeffs": {
+                1.5: {"terms": [{"coeff": "1", "jets": [["q", 0, 1]]}]},
+                True: {"terms": [{"coeff": "1", "jets": [["r", 0, 1]]}]},
+            }},
+        ),
+        (
+            psido_from_json,
+            {"coeffs": {
+                "1": {"terms": [{"coeff": "1", "jets": [["q", 0, 1]]}]},
+                "01": {"terms": [{"coeff": "1", "jets": [["r", 0, 1]]}]},
+            }},
+        ),
+        (
+            psido_from_json,
+            {"coeffs": {
+                "+1": {"terms": [{"coeff": "1", "jets": [["q", 0, 1]]}]},
+            }},
+        ),
     ],
 )
 def test_parsers_raise_only_grammar_errors(parse, data):

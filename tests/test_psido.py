@@ -138,6 +138,14 @@ def test_orders_are_ints(order):
         PsiDO({order: Q})
 
 
+@pytest.mark.parametrize("depth", (True, 1.5, -1), ids=repr)
+def test_comparison_depth_is_an_int_of_at_least_zero(depth):
+    # `True` would compare down to order -1, and 1.5 would fail in `range`.
+    lax = PsiDO({1: DiffPoly.one(), -1: Q * R}, 4)
+    with pytest.raises(ValueError, match="comparison depth must be an int"):
+        residuals(lax, lax, depth)
+
+
 def test_good_depths_are_kept():
     lax = PsiDO({1: DiffPoly.one(), -1: Q * R})
     assert type(compose(lax, lax, 3).trunc_depth) is int
