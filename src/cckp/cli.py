@@ -100,11 +100,6 @@ def _flow_index_problem(n: int, config: RunConfig):
         return "flow index must be a positive odd integer"
     if n > config.max_flow:
         return f"flow index {n} exceeds the configured maximum {config.max_flow}"
-    if n > config.depth:
-        return (
-            f"computing the order-{n} generator needs depth >= {n}; "
-            f"raise --depth (currently {config.depth})"
-        )
     return None
 
 
@@ -157,8 +152,9 @@ def cmd_derive(n: int, config: RunConfig, out_path=None) -> int:
 # Each suite yields its checks in order.  --max-flow sets every range: the
 # step, Lax, identity and residue checks run at odd indices up to
 # max_flow - 2 (a step's image is t_(max_flow)), and the reduced steps start
-# from odd indices up to max_flow - 4.  The recursion and reduction suites
-# of one run share one table of steps, `steps`, so each flow is stepped once.
+# from odd indices up to max_flow - 4.  Every suite takes the run's config
+# and its table of steps, `steps`, which the recursion and reduction suites
+# share, so each flow is stepped once.
 
 
 def _odd(first: int, last: int) -> range:
@@ -185,11 +181,11 @@ def _step_of(steps: dict, m: int):
     return steps[m]
 
 
-def _suite_skew(config: RunConfig):
+def _suite_skew(config: RunConfig, steps: dict):
     yield hierarchy.check_skew(config.depth)
 
 
-def _suite_lax(config: RunConfig):
+def _suite_lax(config: RunConfig, steps: dict):
     for n in _odd(3, config.max_flow - 2):
         yield hierarchy.check_lax(n, 2)
 
@@ -209,7 +205,7 @@ def _suite_recursion(config: RunConfig, steps: dict):
             yield from _flow_reports("two-step t_1 -> t_5", two, target)
 
 
-def _suite_identities(config: RunConfig):
+def _suite_identities(config: RunConfig, steps: dict):
     q, r = DiffPoly.jet("q"), DiffPoly.jet("r")
     probes = (q, r, q * r, DiffPoly.jet("q", 1))
     for n in _odd(1, config.max_flow - 2):
@@ -224,7 +220,7 @@ def _suite_identities(config: RunConfig):
         yield CheckReport.of(f"recursion-identities t_{n}", collected)
 
 
-def _suite_residues(config: RunConfig):
+def _suite_residues(config: RunConfig, steps: dict):
     for m in _odd(1, config.max_flow - 2):
         yield hierarchy.check_residue_coefficients(m)
 
@@ -293,18 +289,13 @@ _SUITE_RUNNERS = {
 
 SUITES = ("all", *_SUITE_RUNNERS)
 
-# The suites that step flows; they share the run's table of steps.
-_STEPPING_SUITES = (_suite_recursion, _suite_reduction)
-
 
 def run_suite(suite: str, config: RunConfig):
     names = tuple(_SUITE_RUNNERS) if suite == "all" else (suite,)
     steps = {}
     checks = []
     for name in names:
-        runner = _SUITE_RUNNERS[name]
-        args = (config, steps) if runner in _STEPPING_SUITES else (config,)
-        checks.extend(runner(*args))
+        checks.extend(_SUITE_RUNNERS[name](config, steps))
     return checks
 
 

@@ -382,7 +382,11 @@ class DiffPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms))
+        # A constant equals its number, so it hashes as that number.
+        terms = self.terms
+        if len(terms) > 1 or terms and terms[0][0] != _EMPTY_KEY:
+            return hash(frozenset(terms))
+        return hash(terms[0][1] if terms else 0)
 
     def __add__(self, other) -> "DiffPoly":
         other = _coerce(other)

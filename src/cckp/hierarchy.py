@@ -207,10 +207,6 @@ def right_coefficients(a: PsiDO, count: int) -> list:
     The adjoint of d^-j a_j is (-1)^j a_j d^-j, so a_j is (-1)^j times the
     d^-j coefficient of the integral part's adjoint.
     """
-    if a.trunc_depth < count:
-        raise DepthExhausted(
-            f"need depth {count} to extract {count} right coefficients"
-        )
     star = adjoint(minus_part(a), count)
     return [(-1) ** j * star.coeff(-j) for j in range(1, count + 1)]
 

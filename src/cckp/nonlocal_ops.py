@@ -200,20 +200,10 @@ def expand_term_to_psido(chain: tuple, depth: int) -> PsiDO:
 
 
 def expand_to_psido(operator: IntDiffOperator, depth: int) -> PsiDO:
-    """Series form of the operator: every d^-1 expanded by Leibniz.
-
-    Each order is summed once over all chains, at the smallest depth.
-    """
+    """Series form, every d^-1 expanded by Leibniz, at the shallowest depth."""
     require_int(depth, "expansion depth", 1)
-    trusted, pieces = depth, {}
-    for weight, chain in operator.terms:
-        series = expand_term_to_psido(chain, depth)
-        trusted = min(trusted, series.trunc_depth)
-        for k, c in series.coeffs.items():
-            pieces.setdefault(k, []).append((weight, c))
-    return PsiDO(
-        {k: poly_sum(ps) for k, ps in pieces.items() if k >= -trusted}, trusted
-    )
+    series = (w * expand_term_to_psido(c, depth) for w, c in operator.terms)
+    return sum(series, PsiDO.zero(depth))
 
 
 # -- payload substitutions ---------------------------------------------------

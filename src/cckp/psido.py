@@ -108,13 +108,10 @@ class PsiDO:
         if not isinstance(other, PsiDO):
             return NotImplemented
         depth = min(self.trunc_depth, other.trunc_depth)
-        out = {}
-        for k, c in self.coeffs.items():
-            if k >= -depth:
-                out[k] = c
+        out = {k: c for k, c in self.coeffs.items() if k >= -depth}
         for k, c in other.coeffs.items():
             if k >= -depth:
-                out[k] = out.get(k, DiffPoly.zero()) + c
+                out[k] = out[k] + c if k in out else c
         return PsiDO(out, depth)
 
     def __neg__(self) -> "PsiDO":
@@ -139,10 +136,26 @@ class PsiDO:
         return psido_text(self)
 
 
-def _would_be_infinite(a: PsiDO, b: PsiDO) -> bool:
-    if not any(k < 0 for k in a.coeffs):
-        return False
-    return any(not c.is_constant for c in b.coeffs.values())
+def _resolve_depth(depth, supported: int, infinite: bool) -> int:
+    """The truncation depth an operation runs at.
+
+    `None` asks for all the `supported` depth, which an exact result that is
+    an infinite series (`infinite`) does not have; an explicit depth may be
+    any int from 0 to `supported`.
+    """
+    if depth is None:
+        if infinite and supported >= EXACT_DEPTH:
+            raise DepthExhausted(
+                "the exact result is an infinite series; pass an explicit depth"
+            )
+        depth = supported
+    else:
+        require_int(depth, "truncation depth", 0)
+    if not 0 <= depth <= supported:
+        raise DepthExhausted(
+            f"the operands support depths 0..{supported}, not {depth}"
+        )
+    return depth
 
 
 def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
@@ -153,35 +166,18 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
     when both operands are; an explicit `depth` may truncate further but
     never exceed it.
     """
-    if depth is not None:
-        require_int(depth, "truncation depth", 0)
     if not a.coeffs or not b.coeffs:
         return PsiDO.zero(
-            depth if depth is not None else min(a.trunc_depth, b.trunc_depth)
+            min(a.trunc_depth, b.trunc_depth) if depth is None else depth
         )
-    exact = a.is_exact and b.is_exact
-    prop = EXACT_DEPTH if exact else min(
+    supported = EXACT_DEPTH if a.is_exact and b.is_exact else min(
         a.trunc_depth - max(b.top_order, 0),
         b.trunc_depth - max(a.top_order, 0),
     )
-    if prop < 0:
-        raise DepthExhausted(
-            "operands are too shallow for their composition to be trusted "
-            "at any nonnegative depth"
-        )
-    if depth is None:
-        eff = prop
-        if exact and _would_be_infinite(a, b):
-            raise DepthExhausted(
-                "composition is an infinite series; pass an explicit depth"
-            )
-    else:
-        if depth > prop:
-            raise DepthExhausted(
-                f"requested depth {depth} exceeds the supported depth {prop}"
-            )
-        eff = depth
-
+    infinite = min(a.coeffs) < 0 and not all(
+        c.is_constant for c in b.coeffs.values()
+    )
+    eff = _resolve_depth(depth, supported, infinite)
     out = {}
     _leibniz_into(out, a.coeffs, b.coeffs, eff)
     return PsiDO(out, eff)
@@ -217,23 +213,11 @@ def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
 
 def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
     """Formal adjoint: sum of (-1)^k d^k composed with each coefficient."""
-    if depth is None:
-        eff = a.trunc_depth
-        if a.is_exact and any(
-            k < 0 and not c.is_constant for k, c in a.coeffs.items()
-        ):
-            raise DepthExhausted(
-                "adjoint of an integral tail is an infinite series; "
-                "pass an explicit depth"
-            )
-    else:
-        require_int(depth, "truncation depth", 0)
-        if depth > a.trunc_depth:
-            raise DepthExhausted(
-                f"requested depth {depth} exceeds the operand depth "
-                f"{a.trunc_depth}"
-            )
-        eff = depth
+    eff = _resolve_depth(
+        depth,
+        a.trunc_depth,
+        any(k < 0 and not c.is_constant for k, c in a.coeffs.items()),
+    )
     out = {}
     for k, c in a.coeffs.items():
         _leibniz_into(out, {k: _SIGNS[k % 2]}, {0: c}, eff)
@@ -254,9 +238,7 @@ def minus_part(a: PsiDO) -> PsiDO:
 
 def residue(a: PsiDO) -> DiffPoly:
     """Coefficient of d^-1."""
-    if a.trunc_depth < 1:
-        raise DepthExhausted("residue needs a trusted depth of at least 1")
-    return a.coeffs.get(-1, DiffPoly.zero())
+    return a.coeff(-1)
 
 
 def apply(a: PsiDO, f: DiffPoly) -> DiffPoly:
@@ -285,14 +267,11 @@ def residuals(a: PsiDO, b: PsiDO, depth: int) -> dict:
             f"({a.trunc_depth}, {b.trunc_depth})"
         )
     out = {}
-    orders = set(a.coeffs) | set(b.coeffs)
-    top = max(orders, default=0)
-    for k in range(top, -depth - 1, -1):
-        diff = a.coeffs.get(k, DiffPoly.zero()) - b.coeffs.get(
-            k, DiffPoly.zero()
-        )
-        if not diff.is_zero:
-            out[k] = diff
+    for k in sorted(a.coeffs.keys() | b.coeffs.keys(), reverse=True):
+        if k >= -depth:
+            diff = a.coeff(k) - b.coeff(k)
+            if not diff.is_zero:
+                out[k] = diff
     return out
 
 

@@ -113,13 +113,15 @@ def test_deterministic_output(capsys):
 
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("CCKP_DEPTH", "2")
-    code, _, err = run(capsys, "derive", "3")
-    assert code == 2
-    assert "depth" in err
+
+    def lax_depth(*flags):
+        code, out, err = run(capsys, "export", "lax", "--format", "json", *flags)
+        assert code == 0, err
+        return json.loads(out)["content"]["trunc_depth"]
+
+    assert lax_depth() == 2
     # Flags beat the environment.
-    code, out, _ = run(capsys, "derive", "3", "--depth", "9")
-    assert code == 0
-    assert out.startswith("B_3")
+    assert lax_depth("--depth", "9") == 9
 
 
 def test_env_invalid_integer(capsys, monkeypatch):
@@ -273,21 +275,17 @@ def test_export_bn_rejects_bad_flow_index(capsys, n):
 
 
 @pytest.mark.parametrize(
-    "argv, n",
+    "argv, golden",
     [
-        (("derive", "9", "--max-flow", "9", "--depth", "5"), 9),
-        (("export", "bn", "7", "--depth", "3"), 7),
+        (("derive", "9", "--max-flow", "9", "--depth", "5"), "derive_9.text"),
+        (("export", "bn", "7", "--depth", "3"), "export_bn_7.text"),
     ],
 )
-def test_generator_depth_error_is_exact(capsys, clean_env, argv, n):
-    depth = argv[-1]
+def test_generator_reads_no_depth(capsys, clean_env, argv, golden):
+    # B_n is exact, so a depth below n changes nothing in its output.
     code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == (
-        f"error: computing the order-{n} generator needs depth >= {n}; "
-        f"raise --depth (currently {depth})\n"
-    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("target", ["lax", "recursion-matrix"])
@@ -407,6 +405,25 @@ def test_readme_cli_example(capsys, clean_env, monkeypatch, tmp_path, argv):
     assert argv[0] == "cckp"
     code, _, err = run(capsys, *argv[1:])
     assert code == 0, err
+
+
+def test_readme_library_example(capsys):
+    section = README.read_text(encoding="utf-8").split(
+        "\n## Library example\n", 1
+    )[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # The comments say what `mkdv` is and what `print(third)` writes.
+    comments = {
+        line.split("#", 1)[0].strip(): line.split("#", 1)[1].strip()
+        for line in block.splitlines()
+        if "#" in line
+    }
+    assert comments["mkdv = reduce_matrix()"] == "d^2 + 8 q^2 + 8 q' d^-1 q"
+    assert comments["print(third)"] == "q[3] + 12*q^2*q'"
+    namespace = {}
+    exec(block, namespace)
+    assert capsys.readouterr().out == "q[3] + 12*q^2*q'\n"
+    assert repr(namespace["mkdv"]) == "d^2 + 8 q^2 + 8 q' d^-1 q"
 
 
 def test_package_exports_resolve():

@@ -355,6 +355,14 @@ class TestConstructor:
             DiffPoly(((self.T[0], 0.5),))
 
 
+@pytest.mark.parametrize("value", (2, 0, Fraction(1, 3)), ids=repr)
+def test_constant_hashes_as_the_number_it_equals(value):
+    for p in (DiffPoly.const(value), (Q + value) - Q):
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+        assert {value: "found"}[p] == "found"
+
+
 def _coeff_types(*polys):
     return {type(c) for p in polys for _, c in p.terms}
 

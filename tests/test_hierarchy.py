@@ -505,6 +505,17 @@ class TestResidueCoefficients:
     def test_residue_derivative_identity(self, m):
         assert residue_identity(m).is_zero
 
+    def test_count_past_the_trusted_depth(self):
+        # a_j is read at order -j, below the trusted depth T when j > T.
+        power = lax_power(3)
+        depth = power.trunc_depth
+        assert len(right_coefficients(power, depth)) == depth
+        for count in (depth + 1, depth + 3):
+            with pytest.raises(DepthExhausted):
+                right_coefficients(power, count)
+        with pytest.raises(DepthExhausted):
+            right_coefficients(PsiDO({1: Q}, 0), 1)
+
     @pytest.mark.parametrize("m", (1, 3, 5, 7))
     def test_right_form_reconstructs(self, m):
         # Right coefficients reassemble the integral tail exactly.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cckp import diffring, nonlocal_ops
-from cckp.diffring import DiffPoly, antiderivative, d_x
+from cckp.diffring import DiffPoly, antiderivative, d_x, poly_sum
 from cckp.errors import NestingTooDeep
 from cckp.hierarchy import flow
 from cckp.nonlocal_ops import (
@@ -422,3 +422,34 @@ def test_expansion_matches_the_chain_by_chain_sum(monkeypatch, expand):
         mixed += exact == {True, False}
     # Many inputs mix exact (d-only) chains with truncated ones.
     assert mixed > 10
+
+
+def _per_order_expansion(operator, depth):
+    """The per-order sum `expand_to_psido` made before it added chain series
+    as `PsiDO`s: each order summed once over all chains, kept down to the
+    smallest depth met."""
+    trusted, pieces = depth, {}
+    for weight, chain in operator.terms:
+        series = nonlocal_ops.expand_term_to_psido(chain, depth)
+        trusted = min(trusted, series.trunc_depth)
+        for k, c in series.coeffs.items():
+            pieces.setdefault(k, []).append((weight, c))
+    return PsiDO(
+        {k: poly_sum(ps) for k, ps in pieces.items() if k >= -trusted}, trusted
+    )
+
+
+@pytest.mark.parametrize("expand", (expand_term_to_psido, _shallower))
+def test_expansion_matches_the_per_order_sum(monkeypatch, expand):
+    monkeypatch.setattr(nonlocal_ops, "expand_term_to_psido", expand)
+    mat = build_matrix()
+    rng = random.Random(SEED + 1)
+    ops = [mat.r11, mat.r12, mat.r21, mat.r22, reduce_matrix()]
+    ops += [_random_chain_operator(rng) for _ in range(30)]
+    ops += [IntDiffOperator(())]
+    for op in ops:
+        for depth in range(1, 7):
+            got = expand_to_psido(op, depth)
+            want = _per_order_expansion(op, depth)
+            assert got.coeffs == want.coeffs
+            assert got.trunc_depth == want.trunc_depth

@@ -230,8 +230,11 @@ def test_residue_and_apply():
     op = PsiDO({3: DiffPoly.one(), -1: 2 * Q * R}, 4)
     assert residue(op) == 2 * Q * R
     assert residue(PsiDO.d()) == DiffPoly.zero()
-    with pytest.raises(DepthExhausted):
-        residue(PsiDO({0: Q}, 0))
+    assert residue(PsiDO({0: Q}, 1)) == DiffPoly.zero()
+    # Order -1 lies below a trusted depth of 0, stored coefficients or not.
+    for shallow in (PsiDO({0: Q}, 0), PsiDO.zero(0), PsiDO({2: Q, 0: R}, 0)):
+        with pytest.raises(DepthExhausted):
+            residue(shallow)
 
     b3 = PsiDO(
         {3: DiffPoly.one(), 1: 6 * Q * R, 0: P("3*r*q' + 3*q*r'")}
@@ -377,3 +380,50 @@ class TestLeibnizKernel:
                 psido._leibniz_into(got, lhs, b.coeffs, 3)
                 _reference_leibniz_into(ref, lhs, b.coeffs, 3)
                 assert _typed(PsiDO(got, 3)) == _typed(PsiDO(ref, 3))
+
+
+def test_compose_with_zero_keeps_the_explicit_depth():
+    lax = PsiDO({1: DiffPoly.one(), -1: Q * R}, 2)
+    for a, b in ((PsiDO.zero(), lax), (lax, PsiDO.zero(1)), (PsiDO.zero(3),) * 2):
+        # Even past what the other operand supports: the product is zero.
+        for depth in (0, 1, 5):
+            out = compose(a, b, depth)
+            assert (out.coeffs, out.trunc_depth) == ({}, depth)
+        assert compose(a, b).trunc_depth == min(a.trunc_depth, b.trunc_depth)
+
+
+def _dense_residuals(a: PsiDO, b: PsiDO, depth: int) -> dict:
+    """The walk `residuals` made before it read only stored orders: every
+    order from the highest stored one down to -depth."""
+    out = {}
+    orders = set(a.coeffs) | set(b.coeffs)
+    top = max(orders, default=0)
+    for k in range(top, -depth - 1, -1):
+        diff = a.coeffs.get(k, DiffPoly.zero()) - b.coeffs.get(
+            k, DiffPoly.zero()
+        )
+        if not diff.is_zero:
+            out[k] = diff
+    return out
+
+
+def test_residuals_match_the_dense_walk():
+    rng = random.Random(SEED)
+
+    def operand():
+        depth = rng.choice((0, 1, 3, 6, EXACT_DEPTH))
+        if rng.random() < 0.1:
+            return PsiDO.zero(depth)
+        return _random_operator(rng, depth, low=-4, high=rng.randint(-2, 3))
+
+    for _ in range(80):
+        a, b = operand(), operand()
+        for depth in range(min(a.trunc_depth, b.trunc_depth, 7) + 1):
+            got = residuals(a, b, depth)
+            want = _dense_residuals(a, b, depth)
+            # The same orders in the same (descending) order.
+            assert list(got) == list(want)
+            assert all(got[k] == want[k] for k in want)
+        if a.trunc_depth < 7:
+            with pytest.raises(DepthExhausted):
+                residuals(a, b, a.trunc_depth + 1)
