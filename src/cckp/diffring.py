@@ -1,9 +1,11 @@
 """Differential polynomial ring over Q in jet variables, with antiderivative atoms.
 
 Values are immutable; every operation returns a new ``DiffPoly`` (see its terms).
-The ring knows three dependent symbols (``q``, ``r`` and the rescaled ``u``),
-a formal scale constant ``lam``, and formal antiderivatives ``I(...)`` of
-expressions that are not total x-derivatives.
+The ring knows the symbols of ``SYMBOLS``: three dependent ones (``q``, ``r``
+and the rescaled ``u``) and two free ones (``v`` and ``w``, which stand for
+any ``f`` and ``g`` in a generic check), a formal scale constant ``lam``, and
+formal antiderivatives ``I(...)`` of expressions that are not total
+x-derivatives.
 
 ``integrate`` is the exact integration-by-parts engine: it splits any
 polynomial ``p`` as ``d_x(F) + rho`` where the remainder ``rho`` is canonical
@@ -24,7 +26,7 @@ The engine does each piece of work once: every monomial key it makes is
 interned (one shared object per key), each class's closure walk is
 recorded whole and reused by later walks, and a reducer build computes each
 key's priority once.  The key kernels do no more than their inputs need.
-Polynomials whose keys are all local and free of lam multiply in
+Polynomials whose keys are all local and free of lam, v and w multiply in
 `_products_into` as packed ints, one-term sides included: a key product is
 one int addition, and each distinct product is decoded to a key once.  Such
 a polynomial is also differentiated on its pack, and its derivative keeps
@@ -51,7 +53,11 @@ from typing import Iterable
 
 from .errors import EngineError, NestingTooDeep, OddScaleResidue, require_int
 
-SYMBOLS = ("q", "r", "u")
+# The dependent symbols q, r and the rescaled u pack (see `_pack_key`), in
+# their sorted order, which is the order `_unpack` gives; the free symbols v
+# and w, which stand for any f and g in a generic check, do not.
+_PACKED = ("q", "r", "u")
+SYMBOLS = (*_PACKED, "v", "w")
 
 # A monomial key is (jets, atoms, scale):
 #   jets:  tuple of ((symbol, order), power), sorted
@@ -178,38 +184,49 @@ def _key_mul(k1, k2):
 
 
 # Packed products (Monagan & Pearce, CASC 2007).  A key with no atoms, no
-# lam and degree under 128 packs into one int: the power of jet (sym, order)
-# sits in the 8-bit slot at bit 24*order + 8*SYMBOLS.index(sym).  The sum of
-# two packed keys is their product, with no carry between slots, and adding
-# _RAISE << bit moves one power of the jet at bit up one order.  The layout
-# is fixed, so a pack stays valid for the life of its polynomial.
-_RAISE = (1 << 24) - 1
+# lam, only symbols of _PACKED and degree under 128 packs into one int: the
+# power of jet (sym, order) sits in the 8-bit slot
+# len(_PACKED)*order + _PACKED.index(sym).  The sum of two packed keys is
+# their product, with no carry between slots, and adding _RAISE << bit moves
+# one power of the jet at bit up one order.  The layout is fixed, so a pack
+# stays valid for the life of its polynomial.
+_RAISE = (1 << 8 * len(_PACKED)) - 1
 _PACK = {}  # key -> its int, or False when the key cannot be packed
 _UNPACK = {}  # int -> its key, built once per distinct product
-_FACTORS = {}  # (slot, power) -> the one ((sym, order), power) pair decoding it
+_FACTORS = {}  # (sym, order, power) -> the one ((sym, order), power) pair
+
+
+def _bit(sym, order) -> int:
+    """The lowest bit of the slot of jet (sym, order), a symbol of _PACKED."""
+    return 8 * (len(_PACKED) * order + _PACKED.index(sym))
 
 
 def _pack_key(key):
-    """The packed int of key, or False when it has atoms, lam or degree >= 128."""
+    """The packed int of key, or False when it has atoms, lam, a symbol
+    outside _PACKED or degree >= 128."""
     e = _PACK.get(key)
     if e is None:
         jets, atoms, scale = key
-        e = _PACK[key] = not (atoms or scale or _jet_degree(jets) >= 128) and sum(
-            p << 24 * order + 8 * SYMBOLS.index(sym) for (sym, order), p in jets
-        )
+        e = _PACK[key] = not (
+            atoms or scale or _jet_degree(jets) >= 128
+            or any(sym not in _PACKED for (sym, _), _ in jets)
+        ) and sum(p << _bit(sym, order) for (sym, order), p in jets)
     return e
 
 
 def _unpack(e):
     """The key of the packed int e, jets sorted by symbol and then order."""
-    by_sym = ([], [], [])
-    for slot, p in enumerate(e.to_bytes((e.bit_length() + 7) // 8, "little")):
-        if p:
-            f = _FACTORS.get((slot, p))
-            if f is None:
-                f = _FACTORS[slot, p] = ((SYMBOLS[slot % 3], slot // 3), p)
-            by_sym[slot % 3].append(f)
-    return (*by_sym[0], *by_sym[1], *by_sym[2]), (), 0
+    width = len(_PACKED)
+    data = e.to_bytes((e.bit_length() + 7) // 8, "little")
+    jets = []
+    for i, sym in enumerate(_PACKED):
+        for order, p in enumerate(data[i::width]):
+            if p:
+                f = _FACTORS.get((sym, order, p))
+                if f is None:
+                    f = _FACTORS[sym, order, p] = ((sym, order), p)
+                jets.append(f)
+    return tuple(jets), (), 0
 
 
 def _packed(p):
@@ -523,10 +540,11 @@ def _dx_packed(p: DiffPoly, pack) -> DiffPoly:
     """
     acc = {}
     get = acc.get
-    index = SYMBOLS.index
+    width, index = len(_PACKED), _PACKED.index
     for (key, c), (e, _) in zip(p.terms, pack):
         for (sym, order), power in key[0]:
-            e1 = e + (_RAISE << 24 * order + 8 * index(sym))
+            # _bit(sym, order), inlined: a call per jet slows this loop.
+            e1 = e + (_RAISE << 8 * (width * order + index(sym)))
             v = get(e1, 0) + c * power
             if v:
                 acc[e1] = v

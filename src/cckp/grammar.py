@@ -4,8 +4,9 @@ Text and LaTeX come from one walk and differ only in the tokens of their
 `_Style` (`TEXT`, `LATEX`); the operator renderers share it.
 
 Text grammar: jet variables are ``q``, ``q'``, ``q''`` and ``q[k]`` for
-k >= 3; atoms are ``I(<poly>)``; the scale constant is ``lam``; rational
-coefficients are ``a`` or ``a/b``.  ``parse_poly(poly_text(p)) == p`` holds
+k >= 3, and the same for each symbol of ``diffring.SYMBOLS``; atoms are
+``I(<poly>)``; the scale constant is ``lam``; rational coefficients are
+``a`` or ``a/b``.  ``parse_poly(poly_text(p)) == p`` holds
 bit-exactly for every canonical polynomial.
 """
 
@@ -15,11 +16,12 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .diffring import DiffPoly, antiderivative, poly_sum
+from .diffring import SYMBOLS, DiffPoly, antiderivative, poly_sum
 from .errors import GrammarError
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[qru]|lam|I)|(?P<op>[-+*/^()\[\]'])|(?P<end>$))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>%s|lam|I)|(?P<op>[-+*/^()\[\]'])|(?P<end>$))"
+    % "|".join(SYMBOLS)
 )
 
 
@@ -199,7 +201,7 @@ class _Parser:
             if not num and power < 0:
                 raise GrammarError("zero has no negative powers")
             return DiffPoly.const(num ** power)
-        if kind == "name" and value in ("q", "r", "u"):
+        if kind == "name" and value in SYMBOLS:
             self.advance()
             order = 0
             while self.tok == ("op", "'"):

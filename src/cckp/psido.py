@@ -112,10 +112,10 @@ class PsiDO:
         for k, c in other.coeffs.items():
             if k >= -depth:
                 out[k] = out[k] + c if k in out else c
-        return PsiDO(out, depth)
+        return _psido(out, depth)
 
     def __neg__(self) -> "PsiDO":
-        return PsiDO({k: -c for k, c in self.coeffs.items()}, self.trunc_depth)
+        return _psido({k: -c for k, c in self.coeffs.items()}, self.trunc_depth)
 
     def __sub__(self, other) -> "PsiDO":
         if not isinstance(other, PsiDO):
@@ -124,7 +124,7 @@ class PsiDO:
 
     def __mul__(self, scalar) -> "PsiDO":
         if isinstance(scalar, (int, Fraction)):
-            return PsiDO(
+            return _psido(
                 {k: c * scalar for k, c in self.coeffs.items()},
                 self.trunc_depth,
             )
@@ -136,12 +136,26 @@ class PsiDO:
         return psido_text(self)
 
 
+def _psido(coeffs: dict, trunc_depth: int) -> PsiDO:
+    """The operator with these coefficients, zeros dropped, unchecked.
+
+    For the results of this module's own arithmetic, whose orders are ints
+    at or above `-trunc_depth` and whose coefficients are `DiffPoly` values
+    already; `PsiDO(...)` checks what a caller passes.
+    """
+    a = object.__new__(PsiDO)
+    a.coeffs = {k: c for k, c in coeffs.items() if c.terms}
+    a.trunc_depth = trunc_depth
+    return a
+
+
 def _resolve_depth(depth, supported: int, infinite: bool) -> int:
     """The truncation depth an operation runs at.
 
     `None` asks for all the `supported` depth, which an exact result that is
     an infinite series (`infinite`) does not have; an explicit depth may be
-    any int from 0 to `supported`.
+    any int from 0 to `supported` that is under `EXACT_DEPTH`, the depth
+    that labels a result exact.
     """
     if depth is None:
         if infinite and supported >= EXACT_DEPTH:
@@ -151,6 +165,11 @@ def _resolve_depth(depth, supported: int, infinite: bool) -> int:
         depth = supported
     else:
         require_int(depth, "truncation depth", 0)
+        if depth >= EXACT_DEPTH:
+            raise DepthExhausted(
+                f"an explicit depth must be under EXACT_DEPTH = {EXACT_DEPTH}, "
+                f"not {depth}; pass None for an exact result"
+            )
     if not 0 <= depth <= supported:
         raise DepthExhausted(
             f"the operands support depths 0..{supported}, not {depth}"
@@ -180,7 +199,7 @@ def compose(a: PsiDO, b: PsiDO, depth: int | None = None) -> PsiDO:
     eff = _resolve_depth(depth, supported, infinite)
     out = {}
     _leibniz_into(out, a.coeffs, b.coeffs, eff)
-    return PsiDO(out, eff)
+    return _psido(out, eff)
 
 
 def _leibniz_into(out: dict, a: dict, b: dict, eff: int) -> None:
@@ -221,19 +240,17 @@ def adjoint(a: PsiDO, depth: int | None = None) -> PsiDO:
     out = {}
     for k, c in a.coeffs.items():
         _leibniz_into(out, {k: _SIGNS[k % 2]}, {0: c}, eff)
-    return PsiDO(out, eff)
+    return _psido(out, eff)
 
 
 def plus_part(a: PsiDO) -> PsiDO:
     """Purely differential part (orders >= 0); exact by construction."""
-    return PsiDO({k: c for k, c in a.coeffs.items() if k >= 0}, EXACT_DEPTH)
+    return _psido({k: c for k, c in a.coeffs.items() if k >= 0}, EXACT_DEPTH)
 
 
 def minus_part(a: PsiDO) -> PsiDO:
     """Integral part (orders < 0); keeps the operand's trusted depth."""
-    return PsiDO(
-        {k: c for k, c in a.coeffs.items() if k < 0}, a.trunc_depth
-    )
+    return _psido({k: c for k, c in a.coeffs.items() if k < 0}, a.trunc_depth)
 
 
 def residue(a: PsiDO) -> DiffPoly:

@@ -215,6 +215,21 @@ class TestPackedProducts:
         assert diffring._packed(Q * DiffPoly.lam(-1) + R) is False
         assert diffring._packed(Q + R)
 
+    def test_free_symbols_are_not_packed(self):
+        # q, r and u pack, each jet in its own 8-bit slot; v and w go down
+        # the factor-merge path, as atoms and lam do.
+        assert diffring._pack_key(P("q'^2*r").terms[0][0]) == (2 << 24) + (1 << 8)
+        assert diffring._pack_key(P("u[2]").terms[0][0]) == 1 << 64
+        for text in ("v", "w'", "q*v", "r[3]*w^2"):
+            assert diffring._pack_key(P(text).terms[0][0]) is False
+        assert diffring._packed(Q + P("v")) is False
+        a, b = P("q*v' + w^2 - r"), P("v*w + q'")
+        got, want = _both_products(a, b)
+        assert list(got.items()) == list(want.items())
+        assert a * b == P(
+            "q*v*v'*w + q*q'*v' + v*w^3 + q'*w^2 - r*v*w - q'*r"
+        )
+
     def test_degree_127_packs_and_degree_128_falls_back(self):
         # Two packed keys of degree under 128 sum without a carry between
         # 8-bit slots; a key of degree 128 is not packed at all.

@@ -50,8 +50,17 @@ def test_parse_atom_normalizes():
     assert P("I(2*q*q')") == P("q^2")
 
 
+def test_free_symbols_round_trip():
+    # v and w are symbols of the ring, read and written like q and r.
+    p = P("3/2*v'*w[4]^2 - q*v + r''*w' + I(q*v)")
+    assert {sym for key, _ in p.terms for (sym, _), _ in key[0]} >= {"v", "w"}
+    assert parse_poly(poly_text(p)) == p
+    assert poly_from_json(poly_json(p)) == p
+    assert poly_text(parse_poly("v'*w")) == "v'*w"
+
+
 def test_parse_errors():
-    for bad in ("q +", "I()", "q[", "3/0", "w", "q^", "(q"):
+    for bad in ("q +", "I()", "q[", "3/0", "z", "q^", "(q"):
         with pytest.raises(GrammarError):
             parse_poly(bad)
 

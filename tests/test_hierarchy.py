@@ -408,6 +408,7 @@ class TestFlows:
         assert any(len(work) > 1 for work in diffring._NF_ATOM_CACHE)
         filled = {label for label, size in memo_sizes().items() if size}
         assert filled >= {
+            "cckp.recursion._generic_identities",
             "cckp.recursion._product_identity",
             "cckp.recursion.build_matrix",
             "cckp.recursion.step_matrix",

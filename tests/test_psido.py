@@ -130,12 +130,67 @@ def test_depth_is_an_int_of_at_least_zero(depth):
             adjoint(a, depth)
 
 
-@pytest.mark.parametrize("order", (True, 1.5, Fraction(1)), ids=repr)
+@pytest.mark.parametrize(
+    "order", (True, False, 1.5, 2.0, Fraction(1)), ids=repr
+)
 def test_orders_are_ints(order):
     # A bool, float or Fraction order would render as d^True or d^1.5 and
-    # could not be read back from JSON.
+    # could not be read back from JSON.  The public constructor checks it,
+    # although the module's own results skip the checks.
     with pytest.raises(ValueError, match="operator order must be an int"):
         PsiDO({order: Q})
+    with pytest.raises(ValueError, match="operator order must be an int"):
+        PsiDO({order: Q}, 3)
+
+
+def test_stored_orders_lie_within_the_depth():
+    with pytest.raises(ValueError, match="below the trusted depth 2"):
+        PsiDO({0: Q, -3: R}, 2)
+    with pytest.raises(ValueError, match="below the trusted depth 0"):
+        PsiDO({-1: Q}, 0)
+    # A zero coefficient is dropped before the orders are checked.
+    assert PsiDO({0: Q, -3: DiffPoly.zero()}, 2).coeffs == {0: Q}
+
+
+def test_own_results_pass_the_public_checks():
+    # Sums, negations, scalings, products, adjoints and projections are
+    # built without `PsiDO.__init__`; each must be what it would build.
+    rng = random.Random(SEED)
+    for _ in range(20):
+        depth = rng.choice((2, 4, EXACT_DEPTH))
+        a = random_psido(rng, depth) if depth < EXACT_DEPTH else PsiDO(
+            random_psido(rng, 6, min_order=0).coeffs
+        )
+        b = random_psido(rng, 3)
+        cut = min(3, depth)
+        for out in (
+            a + b, a - a, -a, a * Fraction(-2, 3), 0 * a, compose(a, b),
+            adjoint(a, cut), plus_part(a), minus_part(b),
+        ):
+            rebuilt = PsiDO(out.coeffs, out.trunc_depth)
+            assert (rebuilt.coeffs, rebuilt.trunc_depth) == (
+                out.coeffs, out.trunc_depth
+            )
+            assert all(type(k) is int for k in out.coeffs)
+            assert all(
+                isinstance(c, DiffPoly) and c for c in out.coeffs.values()
+            )
+
+
+@pytest.mark.parametrize("depth", (EXACT_DEPTH, EXACT_DEPTH + 1, 2 * EXACT_DEPTH))
+def test_an_explicit_depth_stays_under_the_exact_sentinel(monkeypatch, depth):
+    # At EXACT_DEPTH a truncated infinite series would be labelled exact;
+    # the depth is refused before any coefficient is built.
+    def no_work(*args):
+        raise AssertionError("a coefficient was built")
+
+    monkeypatch.setattr(psido, "_leibniz_into", no_work)
+    with pytest.raises(DepthExhausted, match="under EXACT_DEPTH"):
+        compose(PsiDO.d(-1), PsiDO.from_poly(Q), depth)
+    with pytest.raises(DepthExhausted, match="under EXACT_DEPTH"):
+        adjoint(PsiDO({-1: Q}), depth)
+    with pytest.raises(DepthExhausted, match="under EXACT_DEPTH"):
+        compose(PsiDO.d(), PsiDO.d(), depth)
 
 
 @pytest.mark.parametrize("depth", (True, 1.5, -1), ids=repr)

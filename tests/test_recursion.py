@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cckp
-from cckp import diffring
+from cckp import diffring, recursion
 from cckp.diffring import (
     DiffPoly,
     antiderivative,
@@ -14,7 +14,7 @@ from cckp.diffring import (
     swap_q_r,
 )
 from cckp.errors import OddScaleResidue, ResidualNonlocal
-from cckp.hierarchy import FlowPair, bn, flow
+from cckp.hierarchy import CheckReport, FlowPair, bn, by_order, flow
 from cckp.nonlocal_ops import (
     DX,
     DXINV,
@@ -383,8 +383,64 @@ class TestOperatorIdentities:
 
     @pytest.mark.parametrize("n", (1, 3, 5))
     def test_probe_grid(self, n):
-        probes = (Q, R, Q * R, QX)
-        for f in probes:
-            for g in probes:
+        for f in PROBES:
+            for g in PROBES:
                 report = verify_aratyn_identities(n, f, g, depth=4)
                 assert report.passed, (n, f, g, report.residuals[:3])
+
+    def test_generic_identities_hold_to_t13(self):
+        # One check over the free symbols v, w proves the first two
+        # identities for every f and g.
+        for n in range(1, 14, 2):
+            assert recursion._generic_identities(n, 4) == ({}, {}), n
+
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    def test_probes_agree_with_the_direct_computation(self, n):
+        for f in PROBES:
+            for g in PROBES:
+                direct = recursion._operator_identities(n, f, g, 4)
+                assert direct == ({}, {}), (n, f, g)
+                assert verify_aratyn_identities(n, f, g, 4) == _direct_report(
+                    n, f, g, 4
+                )
+
+    def test_a_broken_identity_reports_each_pair_directly(self, monkeypatch):
+        # With B* replaced by B, identity 2 fails for v, w, and every probe
+        # then reports the residuals of its own computation.
+        monkeypatch.setattr(recursion, "adjoint", lambda a, depth=None: a)
+        cckp.clear_caches()
+        try:
+            generic = recursion._generic_identities(3, 4)
+            assert generic[1] and not generic[0]
+            failed = 0
+            for f in PROBES:
+                for g in PROBES:
+                    report = verify_aratyn_identities(3, f, g)
+                    assert report == _direct_report(3, f, g, 4), (f, g)
+                    failed += not report.passed
+            assert failed == len(PROBES) ** 2
+        finally:
+            monkeypatch.undo()
+            recursion._generic_identities.cache_clear()
+        assert recursion._generic_identities(3, 4) == ({}, {})
+
+    def test_generic_memo_is_typed(self):
+        verify_aratyn_identities(3, Q, R, 1)
+        for depth in (True, 1.0):
+            with pytest.raises(ValueError, match="depth must be an int"):
+                verify_aratyn_identities(3, Q, R, depth)
+
+
+PROBES = (Q, R, Q * R, QX)
+
+
+def _direct_report(n, f, g, depth):
+    """The report of the three identities, each computed for this f and g."""
+    res1, res2 = recursion._operator_identities(n, f, g, depth)
+    res3 = recursion._product_identity(f, g, depth)
+    return CheckReport.of(
+        f"recursion-identities t_{n}",
+        by_order(res1, "differential-part identity, ")
+        + by_order(res2, "adjoint identity, ")
+        + by_order(res3, "antiderivative product identity, "),
+    )
