@@ -192,10 +192,17 @@ def lax_time_derivative(n: int, depth: int) -> PsiDO:
 
 
 def check_lax(n: int, depth: int) -> CheckReport:
-    """Compare dL/dt_n with [B_n, L] down to order -depth."""
-    lax_depth = n + depth
-    lhs = lax_time_derivative(n, lax_depth)
-    rhs = commutator(bn(n), lax_operator(lax_depth))
+    """Compare dL/dt_n with [B_n, L] down to order -depth.
+
+    The bracket needs L to depth n + depth to be trusted at order -depth,
+    but dL/dt_n is prolonged only at the orders compared: each coefficient
+    of L is the same at every truncation depth, so the orders below -depth
+    that a deeper L would add are never read.  `lax_operator` takes a
+    depth of at least 1.
+    """
+    require_int(depth, "comparison depth", 0)
+    lhs = lax_time_derivative(n, max(depth, 1))
+    rhs = commutator(bn(n), lax_operator(n + depth))
     return CheckReport.of(
         f"lax-equation t_{n}", by_order(residuals(lhs, rhs, depth))
     )
@@ -212,8 +219,13 @@ def right_coefficients(a: PsiDO, count: int) -> list:
 
 
 def check_residue_coefficients(m: int) -> CheckReport:
-    """Verify d_x(a_1) = 2 (qr)_t and a_2 = (qr)_t in right-coefficient form."""
-    a1, a2 = right_coefficients(lax_power(m), 2)
+    """Verify d_x(a_1) = 2 (qr)_t and a_2 = (qr)_t in right-coefficient form.
+
+    a_1 and a_2 read L^m at orders -1 and -2 only, so L^m is built with
+    depth m + 1, trusted down to order -2.
+    """
+    require_int(m, "power", 1)
+    a1, a2 = right_coefficients(lax_power(m, m + 1), 2)
     qr_t = prolong_flow(_Q * _R, m)
     pairs = (
         ("d_x(a_1) - 2*(qr)_t", d_x(a1) - 2 * qr_t),

@@ -15,7 +15,7 @@ from .diffring import (
     _rename_q_to_u,
     antiderivative,
 )
-from .errors import ResidualNonlocal
+from .errors import ResidualNonlocal, require_int
 from .hierarchy import CheckReport, FlowPair, bn, by_order
 from .nonlocal_ops import (
     DX,
@@ -248,27 +248,37 @@ def verify_aratyn_identities(
       f1 d^-1 g1 f2 d^-1 g2 = f1 (int g1 f2) d^-1 g2 - f1 d^-1 g2 (int f2 g1)
     with (f1, g1, f2, g2) = (f, g, g, f) in the third.
 
-    The first two are proved once per (n, depth) for the free symbols v, w
-    (`_generic_identities`), which covers every f and g: the substitution
-    phi: v^(j) -> f^(j), w^(j) -> g^(j), fixing q and r, is a homomorphism
-    of differential rings, and the two identities use only ring operations,
-    d_x, rational binomials and order bookkeeping (`compose`, the expansion
-    of a formal d^-1, `psido.apply`, `adjoint`, `minus_part`, `residuals`),
-    none of which integrates.  Every truncation depth depends only on
-    operand orders, so the residuals for (f, g) are phi of those for (v, w),
-    and no generic residual means none for any pair.  Only when a generic
-    residual survives are the two computed for this f and g, so a failure
-    reports the pair's own residuals.  The third identity integrates g f,
-    and integration does not commute with phi, so it is checked per pair.
+    All three are proved for the free symbols v, w, which covers every f
+    and g: the first two once per (n, depth) (`_generic_identities`), the
+    third, which does not involve n, once per depth
+    (`_product_identity(v, w, depth)`).  The third holds with any F such
+    that F' = g g in place of int g g, and for v, w that F is the free atom
+    I(w^2).  The substitution
+      phi: v^(j) -> f^(j), w^(j) -> g^(j), I(w^2) -> antiderivative(g g),
+    fixing q and r, commutes with d_x because d_x(antiderivative(p)) == p,
+    so it is a homomorphism of differential rings.  Past that one
+    antiderivative, the identities use only ring operations, d_x, rational
+    binomials and order bookkeeping (`compose`, the expansion of a formal
+    d^-1, `psido.apply`, `adjoint`, `minus_part`, `residuals`), none of
+    which integrates, and every truncation depth depends only on operand
+    orders.  So the residuals for (f, g) are phi of those for (v, w), and
+    no generic residual means none for any pair, including a pair whose
+    g g the engine cannot integrate.  Only when a generic residual
+    survives is that identity computed for this f and g, so a failure
+    reports the pair's own residuals.
     """
+    require_int(depth, "expansion depth", 1)
     res1, res2 = _generic_identities(n, depth)
     if res1 or res2:
         res1, res2 = _operator_identities(n, f, g, depth)
+    res3 = _product_identity(_V, _W, depth)
+    if res3:
+        res3 = _product_identity(f, g, depth)
     collected = []
     for label, res in (
         ("differential-part identity", res1),
         ("adjoint identity", res2),
-        ("antiderivative product identity", _product_identity(f, g, depth)),
+        ("antiderivative product identity", res3),
     ):
         collected.extend(by_order(res, f"{label}, "))
     return CheckReport.of(f"recursion-identities t_{n}", collected)
@@ -301,9 +311,12 @@ def _generic_identities(n: int, depth: int) -> tuple:
     return _operator_identities(n, _V, _W, depth)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _product_identity(f: DiffPoly, g: DiffPoly, depth: int) -> dict:
-    """Per-order residuals of the third identity, which does not involve n."""
+    """Per-order residuals of the third identity, which does not involve n.
+
+    The memo is typed, so `True` or `4.0` never reads the entry of 1 or 4.
+    """
     f1, g1, f2, g2 = f, g, g, f
     e1 = expand_term_to_psido(term(f1, DXINV, g1), depth + 1)
     e2 = expand_term_to_psido(term(f2, DXINV, g2), depth + 1)

@@ -491,6 +491,133 @@ class TestLaxEquation:
             assert bracket.coeffs.get(k, DiffPoly.zero()) == dt
 
 
+def _full_depth_lax(n, depth):
+    """`check_lax` with dL/dt_n prolonged to the bracket's depth n + depth."""
+    lhs = hierarchy.lax_time_derivative(n, n + depth)
+    rhs = hierarchy.commutator(bn(n), lax_operator(n + depth))
+    return hierarchy.CheckReport.of(
+        f"lax-equation t_{n}",
+        hierarchy.by_order(hierarchy.residuals(lhs, rhs, depth)),
+    )
+
+
+def _full_depth_residues(m):
+    """`check_residue_coefficients` with L^m at its default depth m + 3."""
+    a1, a2 = right_coefficients(lax_power(m), 2)
+    qr_t = hierarchy.prolong_flow(Q * R, m)
+    pairs = (
+        ("d_x(a_1) - 2*(qr)_t", d_x(a1) - 2 * qr_t),
+        ("a_2 - (qr)_t", a2 - qr_t),
+    )
+    return hierarchy.CheckReport.of(
+        f"residue-coefficients t_{m}",
+        [(label, diff) for label, diff in pairs if not diff.is_zero],
+    )
+
+
+def _perturbed_flows(monkeypatch):
+    """Patch `hierarchy.flow` so every q_t gains a term q, on clean caches."""
+    cckp.clear_caches()
+    exact = hierarchy.flow
+
+    def perturbed(n):
+        pair = exact(n)
+        return FlowPair(pair.m, pair.q_t + Q, pair.r_t)
+
+    monkeypatch.setattr(hierarchy, "flow", perturbed)
+
+
+class TestOnlyComparedOrders:
+    # check_lax prolongs only the orders of L it compares, and
+    # check_residue_coefficients builds L^m only to order -2; both give
+    # the reports of the full-depth computation, passing or failing.
+
+    @pytest.mark.parametrize("n", (1, 3, 5, 7))
+    def test_lax_matches_the_full_depth_check(self, n):
+        for depth in range(5):
+            report = check_lax(n, depth)
+            assert report.passed, (n, depth)
+            assert report == _full_depth_lax(n, depth), (n, depth)
+
+    def test_lax_prolongs_only_the_compared_orders(self, monkeypatch):
+        # L to depth d has orders 1, -1, ..., -d: d + 1 coefficients.
+        prolonged = []
+
+        def counting(p, q_t, r_t):
+            prolonged.append(p)
+            return prolong_t(p, q_t, r_t)
+
+        monkeypatch.setattr(hierarchy, "prolong_t", counting)
+        for n, depth in ((3, 0), (3, 2), (7, 4)):
+            prolonged.clear()
+            assert check_lax(n, depth).passed
+            assert len(prolonged) == max(depth, 1) + 1, (n, depth)
+
+    def test_residues_build_the_power_to_order_minus_two(self, monkeypatch):
+        built = []
+
+        def recording(n, depth=None):
+            built.append(power := lax_power(n, depth))
+            return power
+
+        monkeypatch.setattr(hierarchy, "lax_power", recording)
+        assert check_residue_coefficients(5).passed
+        assert [power.trunc_depth for power in built] == [2]
+
+    def test_lax_at_depth_zero(self):
+        report = check_lax(3, 0)
+        assert report.passed
+        assert report.name == "lax-equation t_3"
+
+    def test_a_wrong_flow_fails_both_lax_checks_alike(self, monkeypatch):
+        _perturbed_flows(monkeypatch)
+        try:
+            for n in (1, 3, 5):
+                for depth in range(4):
+                    report = check_lax(n, depth)
+                    assert report == _full_depth_lax(n, depth), (n, depth)
+                    # Orders 1 and 0 of L are constant, so depth 0
+                    # compares nothing the flow reaches.
+                    assert report.passed == (depth == 0), (n, depth)
+        finally:
+            monkeypatch.undo()
+            cckp.clear_caches()
+        assert check_lax(3, 2).passed
+
+    @pytest.mark.parametrize("m", (1, 3, 5, 7))
+    def test_residues_match_the_full_depth_check(self, m):
+        report = check_residue_coefficients(m)
+        assert report.passed, m
+        assert report == _full_depth_residues(m)
+
+    def test_a_wrong_flow_fails_both_residue_checks_alike(self, monkeypatch):
+        _perturbed_flows(monkeypatch)
+        try:
+            for m in (1, 3, 5):
+                report = check_residue_coefficients(m)
+                assert not report.passed, m
+                assert report == _full_depth_residues(m), m
+        finally:
+            monkeypatch.undo()
+            cckp.clear_caches()
+        assert check_residue_coefficients(3).passed
+
+    def test_lax_depth_is_checked_at_entry(self):
+        for depth in (True, 2.0, -1, "x"):
+            with pytest.raises(
+                ValueError,
+                match=f"^comparison depth must be an int >= 0, not {depth!r}$",
+            ):
+                check_lax(3, depth)
+
+    def test_residue_power_is_checked_at_entry(self):
+        for m in (True, 3.0, 0, "x"):
+            with pytest.raises(
+                ValueError, match=f"^power must be an int >= 1, not {m!r}$"
+            ):
+                check_residue_coefficients(m)
+
+
 class TestResidueCoefficients:
     def test_m1_values(self):
         a1, a2 = right_coefficients(lax_power(1), 2)

@@ -13,7 +13,7 @@ from cckp.diffring import (
     substitute_r_to_q,
     swap_q_r,
 )
-from cckp.errors import OddScaleResidue, ResidualNonlocal
+from cckp.errors import NestingTooDeep, OddScaleResidue, ResidualNonlocal
 from cckp.hierarchy import CheckReport, FlowPair, bn, by_order, flow
 from cckp.nonlocal_ops import (
     DX,
@@ -44,6 +44,8 @@ from conftest import P
 Q = DiffPoly.jet("q")
 R = DiffPoly.jet("r")
 QX = DiffPoly.jet("q", 1)
+V = DiffPoly.jet("v")
+W = DiffPoly.jet("w")
 
 
 class TestMatrixShape:
@@ -400,6 +402,7 @@ class TestOperatorIdentities:
             for g in PROBES:
                 direct = recursion._operator_identities(n, f, g, 4)
                 assert direct == ({}, {}), (n, f, g)
+                assert recursion._product_identity(f, g, 4) == {}, (f, g)
                 assert verify_aratyn_identities(n, f, g, 4) == _direct_report(
                     n, f, g, 4
                 )
@@ -425,10 +428,61 @@ class TestOperatorIdentities:
         assert recursion._generic_identities(3, 4) == ({}, {})
 
     def test_generic_memo_is_typed(self):
-        verify_aratyn_identities(3, Q, R, 1)
-        for depth in (True, 1.0):
-            with pytest.raises(ValueError, match="depth must be an int"):
+        for depth in (1, 4):
+            verify_aratyn_identities(3, Q, R, depth)
+            assert recursion._product_identity(Q, R, depth) == {}
+        for depth in (True, 1.0, 4.0):
+            for f, g in ((Q, R), (V, W)):
+                with pytest.raises(ValueError, match="must be an int"):
+                    recursion._product_identity(f, g, depth)
+        # The message names the depth as passed, checked once at entry.
+        for depth in (True, 1.0, 4.0, 0, -1, "x"):
+            with pytest.raises(
+                ValueError,
+                match=f"^expansion depth must be an int >= 1, not {depth!r}$",
+            ):
                 verify_aratyn_identities(3, Q, R, depth)
+
+    def test_generic_product_identity_holds(self):
+        # One check with the free atom I(w^2) proves the third identity
+        # for every f and g at that depth.
+        assert antiderivative(W * W) == P("I(w^2)")
+        for depth in range(1, 9):
+            assert recursion._product_identity(V, W, depth) == {}, depth
+
+    def test_an_unintegrable_pair_is_covered_by_the_generic_proof(self):
+        # g g nests three deep, past what the engine integrates, so the
+        # pair's own product identity cannot be computed; the identity
+        # holds for any antiderivative of g g, so the pair passes.
+        g = antiderivative(R * antiderivative(Q * Q))
+        with pytest.raises(NestingTooDeep):
+            recursion._product_identity(Q, g, 4)
+        report = verify_aratyn_identities(1, Q, g, 4)
+        assert report.passed, report.residuals
+
+    def test_a_broken_antiderivative_reports_each_pair_directly(
+        self, monkeypatch
+    ):
+        # With every antiderivative doubled, F' = 2 w^2, so the generic
+        # product identity fails, and every probe then reports the
+        # residuals of its own computation.
+        monkeypatch.setattr(
+            recursion, "antiderivative", lambda p: 2 * antiderivative(p)
+        )
+        cckp.clear_caches()
+        try:
+            assert recursion._product_identity(V, W, 4)
+            failed = 0
+            for f in PROBES:
+                for g in PROBES:
+                    report = verify_aratyn_identities(3, f, g)
+                    assert report == _direct_report(3, f, g, 4), (f, g)
+                    failed += not report.passed
+            assert failed == len(PROBES) ** 2
+        finally:
+            monkeypatch.undo()
+            recursion._product_identity.cache_clear()
+        assert recursion._product_identity(V, W, 4) == {}
 
 
 PROBES = (Q, R, Q * R, QX)
