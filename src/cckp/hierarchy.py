@@ -197,11 +197,12 @@ def check_lax(n: int, depth: int) -> CheckReport:
     The bracket needs L to depth n + depth to be trusted at order -depth,
     but dL/dt_n is prolonged only at the orders compared: each coefficient
     of L is the same at every truncation depth, so the orders below -depth
-    that a deeper L would add are never read.  `lax_operator` takes a
-    depth of at least 1.
+    that a deeper L would add are never read.  The depth is at least 1:
+    orders 1 and 0 of L are constant, so a comparison that stops there
+    passes for any flow.
     """
-    require_int(depth, "comparison depth", 0)
-    lhs = lax_time_derivative(n, max(depth, 1))
+    require_int(depth, "comparison depth", 1)
+    lhs = lax_time_derivative(n, depth)
     rhs = commutator(bn(n), lax_operator(n + depth))
     return CheckReport.of(
         f"lax-equation t_{n}", by_order(residuals(lhs, rhs, depth))

@@ -30,7 +30,14 @@ from .nonlocal_ops import (
     swap_q_r,
     term,
 )
-from .psido import adjoint, apply as psido_apply, compose, minus_part, residuals
+from .psido import (
+    PsiDO,
+    adjoint,
+    apply as psido_apply,
+    compose,
+    minus_part,
+    residuals,
+)
 
 _Q = DiffPoly.jet("q")
 _R = DiffPoly.jet("r")
@@ -249,11 +256,7 @@ def verify_aratyn_identities(
     with (f1, g1, f2, g2) = (f, g, g, f) in the third.
 
     All three are proved for the free symbols v, w, which covers every f
-    and g: the first two once per (n, depth) (`_generic_identities`), the
-    third, which does not involve n, once per depth
-    (`_product_identity(v, w, depth)`).  The third holds with any F such
-    that F' = g g in place of int g g, and for v, w that F is the free atom
-    I(w^2).  The substitution
+    and g.  The substitution
       phi: v^(j) -> f^(j), w^(j) -> g^(j), I(w^2) -> antiderivative(g g),
     fixing q and r, commutes with d_x because d_x(antiderivative(p)) == p,
     so it is a homomorphism of differential rings.  Past that one
@@ -261,11 +264,26 @@ def verify_aratyn_identities(
     binomials and order bookkeeping (`compose`, the expansion of a formal
     d^-1, `psido.apply`, `adjoint`, `minus_part`, `residuals`), none of
     which integrates, and every truncation depth depends only on operand
-    orders.  So the residuals for (f, g) are phi of those for (v, w), and
-    no generic residual means none for any pair, including a pair whose
+    orders.  So the residuals for (f, g) are phi of those for (v, w).
+
+    The first two are linear in B = sum b_k d^k, so they are proved once
+    per order k (`_order_identities(k, depth)`, B = d^k), and
+    `_generic_identities` collects the orders of B_n.  For a
+    multiplication operator b, (b X)_- = b X_-, so the first identity's
+    residual for B is sum b_k R1_k(f, g); and B* = sum (-d)^k b_k, so the
+    second's is sum R2_k(f, g b_k), where R1_k, R2_k are the residuals for
+    d^k.  w -> g b_k is again a differential-ring homomorphism, so
+    R1_k(v, w) == R2_k(v, w) == {} for every order of B_n proves both for
+    every f and g.  The third identity does not involve n, and holds with
+    any F such that F' = g g in place of int g g; for v, w that F is the
+    free atom I(w^2), so it is proved once per depth
+    (`_product_identity(v, w, depth)`).
+
+    No generic residual means none for any pair, including a pair whose
     g g the engine cannot integrate.  Only when a generic residual
     survives is that identity computed for this f and g, so a failure
-    reports the pair's own residuals.
+    reports the pair's own residuals.  `bn(n)` checks n before any
+    per-order memo is read.
     """
     require_int(depth, "expansion depth", 1)
     res1, res2 = _generic_identities(n, depth)
@@ -285,9 +303,15 @@ def verify_aratyn_identities(
 
 
 def _operator_identities(n: int, f: DiffPoly, g: DiffPoly, depth: int) -> tuple:
-    """Per-order residuals of the first two identities for this f and g."""
-    generator = bn(n)
-    fg = expand_term_to_psido(term(f, DXINV, g), depth + n)
+    """Per-order residuals of the first two identities for B_n, f and g."""
+    return _identities_for(bn(n), f, g, depth)
+
+
+def _identities_for(
+    generator: PsiDO, f: DiffPoly, g: DiffPoly, depth: int
+) -> tuple:
+    """Per-order residuals of the first two identities for this B, f and g."""
+    fg = expand_term_to_psido(term(f, DXINV, g), depth + generator.top_order)
 
     lhs1 = minus_part(compose(generator, fg))
     rhs1 = expand_term_to_psido(
@@ -303,12 +327,29 @@ def _operator_identities(n: int, f: DiffPoly, g: DiffPoly, depth: int) -> tuple:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _generic_identities(n: int, depth: int) -> tuple:
-    """The first two identities' residuals for the free symbols v and w.
+def _order_identities(k: int, depth: int) -> tuple:
+    """The first two identities' residuals for B = d^k and v, w.
 
     The memo is typed, so `True` or `4.0` never reads the entry of 1 or 4.
     """
-    return _operator_identities(n, _V, _W, depth)
+    return _identities_for(PsiDO.d(k), _V, _W, depth)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _generic_identities(n: int, depth: int) -> tuple:
+    """The first two identities' generic residuals for B_n, one per order.
+
+    Each is a dict from an order k of B_n to the residuals of
+    `_order_identities(k, depth)`, holding only the orders that fail; both
+    are empty exactly when every order of B_n passes.  The memo is typed,
+    so `True` or `4.0` never reads the entry of 1 or 4.
+    """
+    merged = ({}, {})
+    for k in bn(n).orders():
+        for out, res in zip(merged, _order_identities(k, depth)):
+            if res:
+                out[k] = res
+    return merged
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -344,6 +385,7 @@ def clear_caches() -> None:
         build_matrix,
         step_matrix,
         reduce_matrix,
+        _order_identities,
         _generic_identities,
         _product_identity,
     ):

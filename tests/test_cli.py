@@ -11,8 +11,8 @@ import pytest
 import cckp
 from cckp import recursion
 from cckp.cli import RunConfig, main
-from cckp.grammar import parse_poly, poly_from_json
-from cckp.hierarchy import flow
+from cckp.grammar import parse_poly, poly_from_json, poly_text
+from cckp.hierarchy import FlowPair, flow
 from cckp.psido import psido_from_json
 
 
@@ -223,8 +223,45 @@ def test_verify_all_steps_each_flow_once(capsys, clean_env, monkeypatch):
     payload, _ = _verify_json(capsys, "all")
     assert payload["passed"] is True
     # t_1, t_3 and t_5 once each, shared by the recursion and reduction
-    # suites, and the second step of the two-step check from t_1.
-    assert sorted(stepped) == [1, 3, 3, 5]
+    # suites; step(flow(1)) is flow(3), so the two-step check reuses
+    # step(flow(3)).
+    assert sorted(stepped) == [1, 3, 5]
+
+
+def test_a_two_step_off_the_flows_is_stepped_again(
+    capsys, clean_env, monkeypatch
+):
+    # With every step doubled, step(flow(1)) is not flow(3): the two-step
+    # check steps it again and reports step(step(flow(1))) against flow(5).
+    stepped = []
+    real_step = recursion.step
+
+    def doubled_step(pair, *args, **kwargs):
+        stepped.append(pair.m)
+        image = real_step(pair, *args, **kwargs)
+        return FlowPair(image.m, 2 * image.q_t, 2 * image.r_t)
+
+    monkeypatch.setattr(recursion, "step", doubled_step)
+    code, out, _ = run(
+        capsys, "verify", "recursion", "--max-flow", "5", "--format", "json"
+    )
+    assert code == 1
+    assert sorted(stepped) == [1, 3, 3]
+    two = doubled_step(doubled_step(flow(1)))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for label in ("q", "r"):
+        name = f"two-step t_1 -> t_5 ({label})"
+        diff = getattr(two, f"{label}_t") - getattr(flow(5), f"{label}_t")
+        residuals = [] if diff.is_zero else [
+            {"label": name, "value": poly_text(diff)}
+        ]
+        assert checks[name] == {
+            "name": name,
+            "passed": diff.is_zero,
+            "residuals": residuals,
+        }
+    assert not checks["two-step t_1 -> t_5 (q)"]["passed"]
+    assert not checks["two-step t_1 -> t_5 (r)"]["passed"]
 
 
 def test_verify_max_flow_1_runs_below_t_3(capsys, clean_env):
@@ -358,8 +395,9 @@ _GOLDEN_CASES = (
     + [(f"verify_all.{fmt}", ["verify", "all"]) for fmt in ("text", "json")]
     + [("verify_all_9.json", ["verify", "all", "--max-flow", "9"])]
     + [("verify_all_11.json", ["verify", "all", "--max-flow", "11"])]
+    + [("verify_all_15.json", ["verify", "all", "--max-flow", "15"])]
 )
-_SLOW_GOLDENS = {"verify_all_11.json"}
+_SLOW_GOLDENS = {"verify_all_11.json", "verify_all_15.json"}
 
 
 @pytest.mark.parametrize(

@@ -409,6 +409,7 @@ class TestFlows:
         filled = {label for label, size in memo_sizes().items() if size}
         assert filled >= {
             "cckp.recursion._generic_identities",
+            "cckp.recursion._order_identities",
             "cckp.recursion._product_identity",
             "cckp.recursion.build_matrix",
             "cckp.recursion.step_matrix",
@@ -534,7 +535,7 @@ class TestOnlyComparedOrders:
 
     @pytest.mark.parametrize("n", (1, 3, 5, 7))
     def test_lax_matches_the_full_depth_check(self, n):
-        for depth in range(5):
+        for depth in range(1, 5):
             report = check_lax(n, depth)
             assert report.passed, (n, depth)
             assert report == _full_depth_lax(n, depth), (n, depth)
@@ -548,10 +549,10 @@ class TestOnlyComparedOrders:
             return prolong_t(p, q_t, r_t)
 
         monkeypatch.setattr(hierarchy, "prolong_t", counting)
-        for n, depth in ((3, 0), (3, 2), (7, 4)):
+        for n, depth in ((3, 1), (3, 2), (7, 4)):
             prolonged.clear()
             assert check_lax(n, depth).passed
-            assert len(prolonged) == max(depth, 1) + 1, (n, depth)
+            assert len(prolonged) == depth + 1, (n, depth)
 
     def test_residues_build_the_power_to_order_minus_two(self, monkeypatch):
         built = []
@@ -565,20 +566,21 @@ class TestOnlyComparedOrders:
         assert [power.trunc_depth for power in built] == [2]
 
     def test_lax_at_depth_zero(self):
-        report = check_lax(3, 0)
-        assert report.passed
-        assert report.name == "lax-equation t_3"
+        # Orders 1 and 0 of L are constant, so depth 0 would compare
+        # nothing the flow reaches and pass for any flow.
+        with pytest.raises(
+            ValueError, match="^comparison depth must be an int >= 1, not 0$"
+        ):
+            check_lax(3, 0)
 
     def test_a_wrong_flow_fails_both_lax_checks_alike(self, monkeypatch):
         _perturbed_flows(monkeypatch)
         try:
             for n in (1, 3, 5):
-                for depth in range(4):
+                for depth in range(1, 4):
                     report = check_lax(n, depth)
                     assert report == _full_depth_lax(n, depth), (n, depth)
-                    # Orders 1 and 0 of L are constant, so depth 0
-                    # compares nothing the flow reaches.
-                    assert report.passed == (depth == 0), (n, depth)
+                    assert not report.passed, (n, depth)
         finally:
             monkeypatch.undo()
             cckp.clear_caches()
@@ -603,10 +605,10 @@ class TestOnlyComparedOrders:
         assert check_residue_coefficients(3).passed
 
     def test_lax_depth_is_checked_at_entry(self):
-        for depth in (True, 2.0, -1, "x"):
+        for depth in (True, 2.0, 0, -1, "x"):
             with pytest.raises(
                 ValueError,
-                match=f"^comparison depth must be an int >= 0, not {depth!r}$",
+                match=f"^comparison depth must be an int >= 1, not {depth!r}$",
             ):
                 check_lax(3, depth)
 

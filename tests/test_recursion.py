@@ -24,7 +24,7 @@ from cckp.nonlocal_ops import (
     swap_q_r as op_swap,
     term,
 )
-from cckp.psido import residuals
+from cckp.psido import PsiDO, residuals
 from cckp.recursion import (
     build_matrix,
     eigen_image_q,
@@ -396,6 +396,43 @@ class TestOperatorIdentities:
         for n in range(1, 14, 2):
             assert recursion._generic_identities(n, 4) == ({}, {}), n
 
+    def test_order_identities_hold(self):
+        # The first two identities are linear in B = sum b_k d^k, so one
+        # check per order k, over v and w, proves them for every B.
+        for k in range(14):
+            assert recursion._order_identities(k, 4) == ({}, {}), k
+        for k in range(6):
+            for depth in range(1, 9):
+                found = recursion._order_identities(k, depth)
+                assert found == ({}, {}), (k, depth)
+
+    def test_generator_sized_route_holds_to_t9(self):
+        # The whole B_n composed with v d^-1 w: an oracle independent of
+        # the per-order split.
+        for n in range(1, 10, 2):
+            assert recursion._operator_identities(n, V, W, 4) == ({}, {}), n
+
+    def test_identities_hold_for_an_operator_no_flow_produces(self):
+        # q d^3 + r' d + q r
+        generator = PsiDO({3: Q, 1: DiffPoly.jet("r", 1), 0: Q * R})
+        for f in PROBES:
+            for g in PROBES:
+                found = recursion._identities_for(generator, f, g, 4)
+                assert found == ({}, {}), (f, g)
+
+    def test_a_wrong_flow_index_is_refused_at_entry(self):
+        for n, message in (
+            (2, "the hierarchy has odd flows only"),
+            (0, "flow index must be an int >= 1, not 0"),
+            (-1, "flow index must be an int >= 1, not -1"),
+            (True, "flow index must be an int >= 1, not True"),
+            (3.0, "flow index must be an int >= 1, not 3.0"),
+            ("x", "flow index must be an int >= 1, not 'x'"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                verify_aratyn_identities(n, Q, R)
+            assert str(caught.value) == message, n
+
     @pytest.mark.parametrize("n", (1, 3, 5))
     def test_probes_agree_with_the_direct_computation(self, n):
         for f in PROBES:
@@ -424,8 +461,35 @@ class TestOperatorIdentities:
             assert failed == len(PROBES) ** 2
         finally:
             monkeypatch.undo()
-            recursion._generic_identities.cache_clear()
+            # The per-order memo holds the broken residuals too.
+            cckp.clear_caches()
         assert recursion._generic_identities(3, 4) == ({}, {})
+
+    def test_a_broken_composition_reports_each_pair_directly(
+        self, monkeypatch
+    ):
+        # With every composition doubled, all three identities fail for
+        # v, w, and every probe then reports its own residuals.
+        compose = recursion.compose
+        monkeypatch.setattr(
+            recursion,
+            "compose",
+            lambda a, b, depth=None: 2 * compose(a, b, depth),
+        )
+        cckp.clear_caches()
+        try:
+            assert all(recursion._generic_identities(3, 4))
+            assert recursion._product_identity(V, W, 4)
+            for f in PROBES:
+                for g in PROBES:
+                    report = verify_aratyn_identities(3, f, g)
+                    assert report == _direct_report(3, f, g, 4), (f, g)
+                    assert not report.passed, (f, g)
+        finally:
+            monkeypatch.undo()
+            cckp.clear_caches()
+        assert recursion._generic_identities(3, 4) == ({}, {})
+        assert recursion._product_identity(V, W, 4) == {}
 
     def test_generic_memo_is_typed(self):
         for depth in (1, 4):
@@ -435,6 +499,12 @@ class TestOperatorIdentities:
             for f, g in ((Q, R), (V, W)):
                 with pytest.raises(ValueError, match="must be an int"):
                     recursion._product_identity(f, g, depth)
+            for memo in (
+                recursion._order_identities,
+                recursion._generic_identities,
+            ):
+                with pytest.raises(ValueError, match="must be an int"):
+                    memo(3, depth)
         # The message names the depth as passed, checked once at entry.
         for depth in (True, 1.0, 4.0, 0, -1, "x"):
             with pytest.raises(
